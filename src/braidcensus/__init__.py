@@ -7,7 +7,7 @@ from .homs import BraidHom
 from .census import census, CensusRecord
 from .commutator import CommutatorHom, commutator_census
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "Permutation",

@@ -23,6 +23,7 @@ from .perm import (
     all_partitions,
     canonical_of_cycle_type,
     centralizer_generators,
+    conjugation_orbits,
 )
 
 _PERM_CACHE = {}
@@ -81,36 +82,6 @@ def _survivor_candidates(k, n, s1):
     return A
 
 
-def _dedup_by_centralizer(s1, alphas):
-    """Split valid full-cycle images into orbits under the centralizer of s1.
-
-    Two homomorphisms with the same first-generator image are conjugate
-    exactly when a centralizer element carries one full-cycle image to
-    the other.  Returns (representative, orbit size) pairs, sorted.
-    """
-    gens = []
-    for g in centralizer_generators(s1):
-        gens.append(g)
-        gens.append(g.inv())
-    pool = set(alphas)
-    classes = []
-    while pool:
-        start = min(pool)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            a = frontier.pop()
-            for g in gens:
-                b = a.conj(g)
-                assert b in pool or b in orbit
-                if b not in orbit:
-                    orbit.add(b)
-                    frontier.append(b)
-        pool -= orbit
-        classes.append((min(orbit), len(orbit)))
-    return sorted(classes)
-
-
 @dataclass(frozen=True)
 class CensusRecord:
     """One conjugacy class of homomorphisms, with its orbit bookkeeping."""
@@ -147,10 +118,17 @@ def _census_one_class(args):
         alpha = Permutation(int(x) + 1 for x in row)
         if from_sigma1_alpha(k, n, s1, alpha) is not None:
             valid.append(alpha)
-    out = []
-    for alpha, orbit_size in _dedup_by_centralizer(s1, valid):
-        out.append((tuple(s1.images), tuple(alpha.images), orbit_size))
-    return out
+    # Two maps sharing s1 are conjugate exactly when an element of the
+    # centralizer of s1 carries one full-cycle image to the other.
+    orbits = conjugation_orbits(
+        [(alpha,) for alpha in valid], centralizer_generators(s1)
+    )
+    if sum(size for _, size in orbits) != len(valid):
+        raise RuntimeError("centralizer orbit leaves the valid maps")
+    return [
+        (tuple(s1.images), tuple(alpha.images), size)
+        for (alpha,), size in orbits
+    ]
 
 
 def census(k, n, workers=1):
@@ -173,7 +151,8 @@ def census(k, n, workers=1):
             hom = from_sigma1_alpha(
                 k, n, Permutation(s1_images), Permutation(alpha_images)
             )
-            assert hom is not None
+            if hom is None:
+                raise RuntimeError("census representative fails to rebuild")
             records.append(CensusRecord(hom=hom, orbit_size=orbit_size))
     records.sort(key=lambda r: (r.hom.sigma[0].images, r.hom.alpha().images))
     return records

@@ -47,10 +47,6 @@ def _mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def _zeros(rows, cols):
-    return [[0] * cols for _ in range(rows)]
-
-
 def _identity_mat(t):
     return [[1 if i == j else 0 for j in range(t)] for i in range(t)]
 
@@ -332,14 +328,6 @@ def _solve_diagonalized(D, U, V, ncols, b):
         elif rhs[i]:
             raise ValueError("no integer solution")
     return [sum(V[i][j] * y[j] for j in range(len(y))) for i in range(len(y))]
-
-
-def _solve_integer(Bcols, b):
-    """Integer x with B x = b where B is given by columns, or raise."""
-    rows = len(Bcols[0])
-    M = [[Bcols[j][i] for j in range(len(Bcols))] for i in range(rows)]
-    D, U, V = smith_normal_form(M)
-    return _solve_diagonalized(D, U, V, len(Bcols), b)
 
 
 def lattice_quotient_invariants(Lgens, Kgens):

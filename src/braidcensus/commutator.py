@@ -3,22 +3,24 @@
 For k >= 5 the commutator subgroup of the k-strand braid group is
 finitely presented on generators u, v, w and c_1 .. c_{k-3}; its defining
 relations are checked on construction.  The census enumerates all
-homomorphisms into S(n) up to conjugacy by staging: the c-images form a
-braid-like chain of a single cycle type, the u-image is scanned directly,
-and the v- and w-images are forced by two of the relations.
+homomorphisms into S(n) up to conjugacy by staging: the c-images satisfy
+the braid relations of k-2 strands among themselves and come from the
+braid-group census, the u-image is scanned directly, and the v- and
+w-images are forced by two of the relations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .census import census
+from .homs import are_conjugate  # noqa: F401  (re-exported)
 from .perm import (
     Permutation,
     GeneratedGroup,
-    all_partitions,
-    canonical_of_cycle_type,
+    all_permutations,
     centralizer_generators,
-    tuple_conjugacy_witness,
+    conjugation_orbits,
 )
 
 
@@ -186,85 +188,39 @@ def restrict_braid_hom(hom):
     )
 
 
-def are_conjugate(h1, h2):
-    if (h1.k, h1.n) != (h2.k, h2.n):
-        return False
-    return tuple_conjugacy_witness(h1.images(), h2.images()) is not None
-
-
 def commutator_census(k, n):
     """All homomorphisms of the commutator subgroup into S(n), one per
     conjugacy class, for k in {5, 6}.
 
-    The first chain image is pinned to one class-minimal representative
-    per cycle type; later chain images share its type (consecutive chain
-    elements are conjugate).  The u-image determines v through the mixed
-    relation at the second chain element and w through conjugation, so
-    a full scan over u suffices; surviving tuples are validated against
-    every relation and deduplicated under the centralizer of the first
-    chain image.
+    The chain images c_1..c_{k-3} satisfy exactly the braid relations of
+    k-2 strands, so the chains are taken one per conjugacy class from
+    census(k - 2, n), whose first image is class-minimal.  The u-image
+    determines v through the mixed relation at the second chain element
+    and w through conjugation, so a full scan over u suffices; surviving
+    tuples are validated against every relation and split into orbits
+    under the centralizer of the first chain image.
     """
     if k not in (5, 6):
         raise ValueError("the staged census is provided for k in {5, 6}")
-    sym = sorted(_symmetric_group(n))
-    records = []
-    for parts in all_partitions(n):
-        c1 = canonical_of_cycle_type([p for p in parts if p >= 2], n)
-        same_type = [x for x in sym if x.cycle_type() == c1.cycle_type()]
-        c2s = [x for x in same_type if c1 * x * c1 == x * c1 * x]
-        for c2 in c2s:
-            if k == 5:
-                chains = [(c1, c2)]
-            else:
-                c3s = [
-                    x
-                    for x in same_type
-                    if x * c1 == c1 * x and c2 * x * c2 == x * c2 * x
-                ]
-                chains = [(c1, c2, c3) for c3 in c3s]
-            for chain in chains:
-                for u in sym:
-                    v = chain[1].inv() * u * chain[1]
-                    if v * chain[1] != chain[1] * u.inv() * v:
-                        continue
-                    w = u * c1 * u.inv()
-                    if _relations_report(k, u, v, w, chain)[0]:
-                        records.append((chain, u, v, w))
-    return _dedup_commutator(k, n, records)
-
-
-def _symmetric_group(n):
-    import itertools
-
-    return [Permutation(im) for im in itertools.permutations(range(1, n + 1))]
-
-
-def _dedup_commutator(k, n, records):
-    """Orbit split under the centralizer of the pinned first chain image."""
+    sym = all_permutations(n)
     by_c1 = {}
-    for chain, u, v, w in records:
-        by_c1.setdefault(chain[0], set()).add(chain[1:] + (u,))
+    for rec in census(k - 2, n):
+        chain = rec.hom.sigma
+        c1, c2 = chain[0], chain[1]
+        pool = by_c1.setdefault(c1, [])
+        for u in sym:
+            v = c2.inv() * u * c2
+            if v * c2 != c2 * u.inv() * v:
+                continue
+            w = u * c1 * u.inv()
+            if _relations_report(k, u, v, w, chain)[0]:
+                pool.append(chain[1:] + (u,))
     out = []
-    for c1, pool in sorted(by_c1.items(), key=lambda kv: kv[0].images):
-        gens = []
-        for g in centralizer_generators(c1):
-            gens.append(g)
-            gens.append(g.inv())
-        remaining = set(pool)
-        while remaining:
-            start = min(remaining, key=lambda t: [p.images for p in t])
-            orbit = {start}
-            frontier = [start]
-            while frontier:
-                tup = frontier.pop()
-                for g in gens:
-                    moved = tuple(p.conj(g) for p in tup)
-                    assert moved in remaining or moved in orbit
-                    if moved not in orbit:
-                        orbit.add(moved)
-                        frontier.append(moved)
-            remaining -= orbit
-            rep = min(orbit, key=lambda t: [p.images for p in t])
+    for c1 in sorted(by_c1):
+        # Census chains are pairwise non-conjugate, so each orbit meets the
+        # pool in one chain only; its least member is the representative.
+        gens = centralizer_generators(c1)
+        for rep, _ in conjugation_orbits(by_c1[c1], gens):
             chain = (c1,) + rep[:-1]
             u = rep[-1]
             v = chain[1].inv() * u * chain[1]

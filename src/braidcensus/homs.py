@@ -50,6 +50,9 @@ class BraidHom:
     def __call__(self, w):
         return perm_image(w, self.sigma)
 
+    def images(self):
+        return self.sigma
+
     def alpha(self):
         """Image of the full cycle: product of all generator images in order."""
         result = Permutation.identity(self.n)
@@ -144,14 +147,14 @@ def compose_word_map(h, words):
 
 
 def are_conjugate(h1, h2):
-    """Conjugacy of homomorphisms by a single permutation of the points."""
+    """Conjugacy of homomorphisms by a single permutation of the points.
+
+    Serves braid-group and commutator-subgroup homomorphisms alike: both
+    have k, n and images().
+    """
     if (h1.k, h1.n) != (h2.k, h2.n):
         return False
-    if h1.is_cyclic() != h2.is_cyclic():
-        return False
-    if h1.is_cyclic():
-        return h1.sigma[0].cycle_type() == h2.sigma[0].cycle_type()
-    return tuple_conjugacy_witness(h1.sigma, h2.sigma) is not None
+    return tuple_conjugacy_witness(h1.images(), h2.images()) is not None
 
 
 def conjugacy_classes(homs):
@@ -182,13 +185,20 @@ def _cyc(text, n):
     return Permutation.from_cycles(text, n)
 
 
+def _require_hom(h):
+    """A named homomorphism, whose images must define one."""
+    if h is None:
+        raise RuntimeError("named images define no braid-group homomorphism")
+    return h
+
+
 def exceptional_hom_six():
     """The transitive non-standard class on six strands and six points."""
-    h = from_sigma1_alpha(
-        6, 6, _cyc("(1,2)(3,4)(5,6)", 6), _cyc("(1,2,3)(4,5)", 6)
+    return _require_hom(
+        from_sigma1_alpha(
+            6, 6, _cyc("(1,2)(3,4)(5,6)", 6), _cyc("(1,2,3)(4,5)", 6)
+        )
     )
-    assert h is not None
-    return h
 
 
 def exceptional_homs_four():
@@ -200,9 +210,7 @@ def exceptional_homs_four():
     ]
     out = []
     for s1, a in specs:
-        h = from_sigma1_alpha(4, 4, _cyc(s1, 4), _cyc(a, 4))
-        assert h is not None
-        out.append(h)
+        out.append(_require_hom(from_sigma1_alpha(4, 4, _cyc(s1, 4), _cyc(a, 4))))
     return out
 
 
@@ -212,9 +220,10 @@ def three_strand_catalog():
 
     Every entry is transitive except (6, 5), whose image splits the six
     points into two orbits. The entries for n <= 6 lie in the paper's range
-    n <= 2k; they do not list the transitive six-point class whose sigma_1
-    has cycle type (4, 2). The six entries for n = 7 lie beyond that range
-    and are all the transitive non-cyclic classes on seven points, checked
+    n <= 2k and are all the transitive non-cyclic classes there, (6, 8)
+    being the one whose sigma_1 has cycle type (4, 2) and whose image has
+    order 24. The six entries for n = 7 lie beyond that range and are all
+    the transitive non-cyclic classes on seven points, checked
     against an independent scan of S(7). (7, 1)..(7, 3) are the published
     classes; (7, 4) and (7, 5) are (7, 1) and (7, 2) composed with the
     inversion automorphism sigma_i -> sigma_i^-1 of B_3; (7, 6) is fixed by
@@ -231,6 +240,7 @@ def three_strand_catalog():
         (6, 5): ("(1,2,3)(4,5,6)", "(1,2)"),
         (6, 6): ("(1,2,3)(4,5,6)", "(1,4)"),
         (6, 7): ("(1,2,3)", "(1,4)(2,5)(3,6)"),
+        (6, 8): ("(1,2,3)(4,5,6)", "(1,5)(2,4)"),
         (7, 1): ("(1,2,3)(4,5,6)", "(1,4)(2,7)"),
         (7, 2): ("(1,2,3)(4,5,6)", "(1,2)(3,4)(5,7)"),
         (7, 3): ("(1,2,3)(4,5,6)", "(1,4)(2,5)(3,7)"),
@@ -240,17 +250,15 @@ def three_strand_catalog():
     }
     out = {}
     for (n, idx), (a, b) in table.items():
-        h = from_alpha_beta(3, n, _cyc(a, n), _cyc(b, n))
-        assert h is not None
-        out[(n, idx)] = h
+        out[(n, idx)] = _require_hom(from_alpha_beta(3, n, _cyc(a, n), _cyc(b, n)))
     return out
 
 
 def four_strand_five_points():
     """The unique transitive non-cyclic class from four strands into S(5)."""
-    h = from_alpha_beta(4, 5, _cyc("(1,4)(2,5)", 5), _cyc("(3,5,4)", 5))
-    assert h is not None
-    return h
+    return _require_hom(
+        from_alpha_beta(4, 5, _cyc("(1,4)(2,5)", 5), _cyc("(3,5,4)", 5))
+    )
 
 
 def four_strand_six_points():
@@ -370,7 +378,8 @@ def six_point_outer_map():
                     table[h] = img * table[g]
                     nxt.append(h)
         frontier = nxt
-    assert len(table) == 720
+    if len(table) != 720:
+        raise RuntimeError("outer automorphism table is not a bijection of S(6)")
     return table
 
 

@@ -139,15 +139,6 @@ class Permutation:
     def is_even(self):
         return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
 
-    def contains_cycles_of(self, other):
-        """True if every cycle of other occurs verbatim among this one's cycles."""
-        mine = {frozenset(c): _rotate_min(c) for c in self.cycles()}
-        for c in other.cycles():
-            key = frozenset(c)
-            if key not in mine or mine[key] != _rotate_min(c):
-                return False
-        return True
-
     def cycle_string(self):
         cycs = self.cycles()
         if not cycs:
@@ -188,11 +179,6 @@ def _lcm(a, b):
     return a * b // math.gcd(a, b) if a and b else max(a, b)
 
 
-def _rotate_min(cyc):
-    i = cyc.index(min(cyc))
-    return cyc[i:] + cyc[:i]
-
-
 class CycleType(tuple):
     """Multiset of cycle lengths >= 2, sorted descending."""
 
@@ -220,10 +206,6 @@ class RComponent:
     @property
     def t(self):
         return len(self.cycles)
-
-
-def cycle_type(p):
-    return p.cycle_type()
 
 
 def r_component(p, r):
@@ -254,7 +236,8 @@ def conjugacy_witness(a, b):
         for x, y in zip(ca, cb):
             images[x - 1] = y
     g = Permutation(images)
-    assert a.conj(g) == b
+    if a.conj(g) != b:
+        raise RuntimeError("conjugacy witness fails to conjugate")
     return g
 
 
@@ -333,9 +316,8 @@ def tuple_conjugacy_witness(aa, bb):
         return None
 
     g = search({}, set())
-    if g is not None:
-        for p, q in zip(aa, bb):
-            assert p.conj(g) == q
+    if g is not None and any(p.conj(g) != q for p, q in zip(aa, bb)):
+        raise RuntimeError("conjugacy witness fails to conjugate")
     return g
 
 
@@ -361,6 +343,34 @@ def centralizer_generators(p):
                 images[y - 1] = x
             gens.append(Permutation(images))
     return gens
+
+
+def conjugation_orbits(pool, generators):
+    """Split tuples of permutations into orbits under simultaneous
+    conjugation by the group the generators span.
+
+    Each orbit is closed under the group, so it may hold tuples outside the
+    pool; the group is finite, so closing under the generators alone
+    (without their inverses) reaches the whole orbit.  Returns sorted
+    (least member, orbit size) pairs, one per orbit that meets the pool.
+    """
+    pairs = [(g, g.inv()) for g in generators]
+    remaining = set(pool)
+    out = []
+    while remaining:
+        start = min(remaining)
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            tup = frontier.pop()
+            for g, g_inv in pairs:
+                moved = tuple(g * p * g_inv for p in tup)
+                if moved not in orbit:
+                    orbit.add(moved)
+                    frontier.append(moved)
+        remaining -= orbit
+        out.append((min(orbit), len(orbit)))
+    return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -397,18 +407,6 @@ class GeneratedGroup:
 
     def is_transitive(self):
         return len(self.orbits()) == 1
-
-    def orbit_of(self, x):
-        seen = {x}
-        stack = [x]
-        while stack:
-            y = stack.pop()
-            for g in self.generators:
-                z = g(y)
-                if z not in seen:
-                    seen.add(z)
-                    stack.append(z)
-        return frozenset(seen)
 
     def elements(self):
         """Full closure by breadth-first search; intended for tiny degrees."""
@@ -478,21 +476,13 @@ class GeneratedGroup:
             if 1 < size < n and (best is None or size < len(best[0])):
                 for g in self.generators:
                     for b in system:
-                        image = tuple(sorted(g(x) for x in b))
-                        assert image in system
+                        if tuple(sorted(g(x) for x in b)) not in system:
+                            raise RuntimeError("block system is not invariant")
                 best = system
         return best
 
     def is_primitive(self):
         return self.minimal_blocks() is None
-
-
-def orbits(G):
-    return G.orbits()
-
-
-def minimal_blocks(G):
-    return G.minimal_blocks()
 
 
 def invariant_subsets(p, r):

@@ -156,16 +156,6 @@ def half_twist_band(t):
     return tuple(range(t - 1, 0, -1)) + tuple(range(1, t))
 
 
-def pure_generator_word(i, j):
-    """Pure braid generator linking strands i < j, written in Artin letters."""
-    if not 1 <= i < j:
-        raise ValueError("need 1 <= i < j")
-    w = (i, i)
-    for m in range(i + 1, j):
-        w = (m,) + w + (-m,)
-    return free_reduce(w)
-
-
 def two_generator_relators(k):
     """Relators presenting B_k on the k-cycle word and its successor.
 
@@ -267,11 +257,6 @@ def known_identities(k):
 
 
 # Cabling: replace each strand by m parallel strands.
-
-
-def _cable_band(i, j):
-    """The braid moving the block of strands i..j-1 over strand j (letters)."""
-    return band_word(i, j)
 
 
 def cable_hom(k, m, v=()):

@@ -12,7 +12,11 @@ from braidcensus.commutator import (
     standard_commutator_hom,
 )
 from braidcensus.homs import standard_hom
-from braidcensus.perm import Permutation
+from braidcensus.perm import (
+    Permutation,
+    all_permutations,
+    conjugacy_class_representatives,
+)
 from braidcensus.words import exponent_sum
 
 
@@ -71,3 +75,47 @@ def test_no_nontrivial_maps_into_fewer_points():
     # image in S(4) collapses
     records = [h for h in commutator_census(5, 4) if not h.is_trivial()]
     assert records == []
+
+
+def _staged_scan(k, n):
+    """Reference census, independent of the braid-group census: c1 at one
+    representative per cycle type, c2 (and c3) over all of S(n), u over
+    all of S(n) with v and w forced, one map kept per conjugacy class."""
+    sym = all_permutations(n)
+    classes = []
+    for c1 in conjugacy_class_representatives(n):
+        same_type = [x for x in sym if x.cycle_type() == c1.cycle_type()]
+        chains = [(c1, x) for x in same_type if c1 * x * c1 == x * c1 * x]
+        if k == 6:
+            chains = [
+                (c1, c2, x)
+                for c1, c2 in chains
+                for x in same_type
+                if x * c1 == c1 * x and c2 * x * c2 == x * c2 * x
+            ]
+        for chain in chains:
+            c2 = chain[1]
+            for u in sym:
+                v = c2.inv() * u * c2
+                if v * c2 != c2 * u.inv() * v:
+                    continue
+                try:
+                    hom = CommutatorHom(k, n, u, v, u * c1 * u.inv(), chain)
+                except ValueError:
+                    continue
+                if not any(are_conjugate(hom, h) for h in classes):
+                    classes.append(hom)
+    return classes
+
+
+@pytest.mark.parametrize("k,n", [(5, 4), (5, 5), (6, 5), (5, 6)])
+def test_census_agrees_with_the_staged_scan(k, n):
+    found = commutator_census(k, n)
+    expected = _staged_scan(k, n)
+    assert len(found) == len(expected)
+    matched = set()
+    for h in found:
+        hits = [i for i, e in enumerate(expected) if are_conjugate(h, e)]
+        assert len(hits) == 1, h.to_json()
+        matched.add(hits[0])
+    assert len(matched) == len(expected)

@@ -16,6 +16,7 @@ from braidcensus.perm import (
     centralizer_generators,
     conjugacy_class_representatives,
     conjugacy_witness,
+    conjugation_orbits,
     disjoint_product,
     invariant_subsets,
     r_component,
@@ -194,6 +195,26 @@ def test_class_representatives_cover_all_partitions():
         for r in reps:
             parts = tuple(p for p in r.cycle_type())
             assert canonical_of_cycle_type(parts, n) == r
+
+
+def test_conjugation_orbits_of_single_permutations_are_the_classes():
+    n = 4
+    ident = Permutation.identity(n)
+    pool = [(g,) for g in all_permutations(n)]
+    orbits = conjugation_orbits(pool, centralizer_generators(ident))
+    reps = conjugacy_class_representatives(n)
+    assert [rep for (rep,), _ in orbits] == reps
+    for (rep,), size in orbits:
+        lengths = [len(c) for c in rep.cycles(include_fixed=True)]
+        centralizer_order = 1
+        for length in set(lengths):
+            m = lengths.count(length)
+            centralizer_order *= math.factorial(m) * length**m
+        assert size == math.factorial(n) // centralizer_order
+    # an orbit is closed under the group, not under the pool
+    swap = Permutation.from_cycles("(1,2)", n)
+    only = conjugation_orbits([(swap,)], centralizer_generators(ident))
+    assert only == [((Permutation.from_cycles("(3,4)", n),), 6)]
 
 
 def test_cycle_type_ordering_and_disjoint_product():
