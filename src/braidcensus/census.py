@@ -1,85 +1,31 @@
 """Exhaustive enumeration of braid-group homomorphisms into S(n).
 
-Every homomorphism is determined by the image s of the first generator
-together with the image a of the full cycle: the i-th generator image is
-the (i-1)-fold a-conjugate of s.  The search fixes one class-minimal s
-per conjugacy class of S(n), scans all candidates for a with vectorized
-necessary conditions (the two-generator relators), validates survivors
-exactly, and splits them into conjugacy classes by the action of the
-centralizer of s.
+A homomorphism is a chain of generator images s_1, ..., s_{k-1}: each
+s_{i+1} braids with s_i and commutes with s_1, ..., s_{i-1}.  The census
+fixes one class-minimal s_1 = s per conjugacy class of S(n) and builds the
+chains one image at a time with ``perm.braid_partners``, a backtracking
+search that lets the relators force images point by point.  The images of
+s_2 are split into orbits under the centralizer C(s) of s first, and only
+the least member of each orbit is extended: every class of maps with first
+image s has a member whose second image is such a representative.  Each
+chain is recorded by its full-cycle image a = s_1 ... s_{k-1}, and the a
+are split into conjugacy classes by the action of C(s).
 """
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 from dataclasses import dataclass
-
-import numpy as np
 
 from .homs import BraidHom, from_sigma1_alpha
 from .perm import (
     Permutation,
     all_partitions,
+    braid_partners,
     canonical_of_cycle_type,
     centralizer_generators,
     conjugation_orbits,
 )
-
-_PERM_CACHE = {}
-
-
-def _all_perms_array(n):
-    if n not in _PERM_CACHE:
-        _PERM_CACHE[n] = np.array(
-            list(itertools.permutations(range(n))), dtype=np.uint8
-        )
-    return _PERM_CACHE[n]
-
-
-def _rows_compose(A, B):
-    """Rowwise (A o B): result[r][x] = A[r][B[r][x]]."""
-    return np.take_along_axis(A, B, axis=1)
-
-
-def _rows_pow(A, e):
-    n = A.shape[1]
-    result = np.tile(np.arange(n, dtype=A.dtype), (A.shape[0], 1))
-    base = A
-    while e:
-        if e & 1:
-            result = _rows_compose(result, base)
-        base = _rows_compose(base, base)
-        e >>= 1
-    return result
-
-
-def _rows_inverse(A):
-    return np.argsort(A, axis=1).astype(A.dtype)
-
-
-def _survivor_candidates(k, n, s1):
-    """Candidate full-cycle images passing the vectorized relator filters.
-
-    The filters (cycle power equals successor power, and for k >= 4 the
-    first conjugation relator) are necessary conditions only; callers
-    must validate survivors exactly.
-    """
-    A = _all_perms_array(n)
-    s = np.array([s1(x) - 1 for x in range(1, n + 1)], dtype=np.uint8)
-    B = A[:, s]
-    mask = np.all(_rows_pow(A, k) == _rows_pow(B, k - 1), axis=1)
-    A, B = A[mask], B[mask]
-    if k >= 4 and len(A):
-        lhs = _rows_compose(_rows_compose(B, A), B)
-        A2 = _rows_compose(A, A)
-        A3i = _rows_inverse(_rows_compose(A2, A))
-        rhs = _rows_compose(
-            _rows_compose(_rows_compose(_rows_compose(A2, B), A3i), B), A2
-        )
-        mask = np.all(lhs == rhs, axis=1)
-        A = A[mask]
-    return A
 
 
 @dataclass(frozen=True)
@@ -113,18 +59,36 @@ def _census_one_class(args):
     class-minimal representative of the given cycle type."""
     k, n, parts = args
     s1 = canonical_of_cycle_type(parts, n)
-    valid = []
-    for row in _survivor_candidates(k, n, s1):
-        alpha = Permutation(int(x) + 1 for x in row)
-        if from_sigma1_alpha(k, n, s1, alpha) is not None:
-            valid.append(alpha)
+    gens = centralizer_generators(s1)
+    pool = []
+    maps = 0
+    for (s2,), s2_orbit in conjugation_orbits(
+        [(x,) for x in braid_partners(s1)], gens
+    ):
+        chains = [(s1, s2)]
+        for _ in range(k - 3):
+            chains = [
+                chain + (x,)
+                for chain in chains
+                for x in braid_partners(chain[-1], chain[:-1])
+            ]
+        # Conjugating by C(s1) carries the chains through s2 onto those
+        # through each member of its orbit.
+        maps += s2_orbit * len(chains)
+        for chain in chains:
+            alpha = chain[0]
+            for g in chain[1:]:
+                alpha = alpha * g
+            if from_sigma1_alpha(k, n, s1, alpha) is None:
+                raise RuntimeError("chain search found an invalid map")
+            pool.append((alpha,))
     # Two maps sharing s1 are conjugate exactly when an element of the
-    # centralizer of s1 carries one full-cycle image to the other.
-    orbits = conjugation_orbits(
-        [(alpha,) for alpha in valid], centralizer_generators(s1)
-    )
-    if sum(size for _, size in orbits) != len(valid):
-        raise RuntimeError("centralizer orbit leaves the valid maps")
+    # centralizer of s1 carries one full-cycle image to the other.  The
+    # orbits walk the whole group, so they count every map, not just the
+    # pool's.
+    orbits = conjugation_orbits(pool, gens)
+    if sum(size for _, size in orbits) != maps:
+        raise RuntimeError("centralizer orbits do not count every map")
     return [
         (tuple(s1.images), tuple(alpha.images), size)
         for (alpha,), size in orbits
@@ -136,11 +100,12 @@ def census(k, n, workers=1):
     record per conjugacy class, in a deterministic order."""
     if k < 3:
         raise ValueError("k must be >= 3")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     tasks = [
         (k, n, tuple(p for p in parts if p >= 2)) for parts in all_partitions(n)
     ]
     if workers > 1:
-        _all_perms_array(n)
         with multiprocessing.Pool(workers) as pool:
             chunks = pool.map(_census_one_class, tasks)
     else:

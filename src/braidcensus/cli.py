@@ -2,13 +2,15 @@
 homomorphism inspection, and self-verification suites.
 
 All output is deterministic JSON (sorted keys, fixed indentation) so runs
-can be diffed and committed as golden files.
+can be diffed and committed as golden files.  Bad input is reported as one
+line on stderr with exit status 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__, cohomology, commutator, homs
@@ -20,6 +22,28 @@ from .perm import Permutation
 SCHEMA = 1
 
 
+class InputError(Exception):
+    """Input the command cannot use: reported in one line, exit status 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # One line without the usage block, like an InputError report.
+        self.exit(2, "%s: error: %s\n" % (self.prog, " ".join(message.split())))
+
+
+def _at_least(low):
+    """An argparse type: an integer no smaller than low."""
+
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be >= %d, got %d" % (low, value))
+        return value
+
+    return integer
+
+
 def _emit(payload, stream=None):
     payload = dict(payload)
     payload["schema"] = SCHEMA
@@ -29,7 +53,8 @@ def _emit(payload, stream=None):
 
 
 def _cmd_census(args):
-    records = census(args.k, args.n, workers=args.workers)
+    workers = min(args.workers, os.cpu_count() or 1)
+    records = census(args.k, args.n, workers=workers)
     records = select(
         records,
         transitive=True if args.transitive else None,
@@ -77,7 +102,10 @@ def _base_hom(name, n):
 
 
 def _cmd_cohomology(args):
-    base = _base_hom(args.base, args.n)
+    try:
+        base = _base_hom(args.base, args.n)
+    except ValueError as exc:
+        raise InputError("no %s base on %d points: %s" % (args.base, args.n, exc))
     _emit(
         {
             "command": "cohomology",
@@ -91,19 +119,26 @@ def _cmd_cohomology(args):
 
 
 def _read_hom(path):
-    with open(path) if path != "-" else sys.stdin as fh:
-        return BraidHom.from_json(json.load(fh))
+    try:
+        with open(path) if path != "-" else sys.stdin as fh:
+            return BraidHom.from_json(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise InputError("cannot read a homomorphism from %s: %s" % (path, exc))
 
 
 def _cmd_retract(args):
     hom = _read_hom(args.hom)
-    om = retraction.omega(hom, args.r)
+    try:
+        om = retraction.omega(hom, args.r)
+        report = retraction.label_table_report(hom, args.r)
+    except ValueError as exc:
+        raise InputError("cannot retract onto %d-cycles: %s" % (args.r, exc))
     _emit(
         {
             "command": "retract",
             "r": args.r,
             "omega": om.to_json(),
-            "report": retraction.label_table_report(hom, args.r),
+            "report": report,
         }
     )
 
@@ -119,10 +154,14 @@ def _cmd_hom(args):
         "beta_cycles": hom.beta().cycle_string(),
     }
     if args.word:
-        w = words.word(json.loads(args.word))
+        try:
+            w = words.word(json.loads(args.word))
+            image = hom(w)
+        except (ValueError, TypeError) as exc:
+            raise InputError("bad --word %s: %s" % (args.word, exc))
         payload["word"] = list(w)
-        payload["image"] = hom(w).to_json()
-        payload["image_cycles"] = hom(w).cycle_string()
+        payload["image"] = image.to_json()
+        payload["image_cycles"] = image.cycle_string()
     _emit(payload)
 
 
@@ -242,7 +281,7 @@ def _cmd_verify(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="braidcensus",
         description="Censuses and invariants of braid-group homomorphisms "
         "into symmetric groups.",
@@ -251,9 +290,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("census", help="enumerate homomorphism classes")
-    p.add_argument("k", type=int, help="number of strands")
-    p.add_argument("n", type=int, help="number of points")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("k", type=_at_least(3), help="number of strands")
+    p.add_argument("n", type=_at_least(1), help="number of points")
+    p.add_argument(
+        "--workers",
+        type=_at_least(1),
+        default=1,
+        help="processes, at most the CPU count",
+    )
     p.add_argument("--transitive", action="store_true")
     p.add_argument("--noncyclic", action="store_true")
     p.set_defaults(func=_cmd_census)
@@ -262,20 +306,26 @@ def build_parser():
         "census-bprime", help="enumerate commutator-subgroup classes"
     )
     p.add_argument("k", type=int, choices=(5, 6))
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_at_least(1))
     p.set_defaults(func=_cmd_census_commutator)
 
     p = sub.add_parser("cohomology", help="first cohomology of a block base")
     p.add_argument(
         "base", choices=("standard", "exceptional6", "fivesix", "cyclic")
     )
-    p.add_argument("n", type=int, help="points of the base (cycle length for cyclic)")
-    p.add_argument("r", type=int, help="coefficient modulus (0 for integers)")
+    p.add_argument(
+        "n",
+        type=_at_least(1),
+        help="points of the base (cycle length for cyclic)",
+    )
+    p.add_argument(
+        "r", type=_at_least(0), help="coefficient modulus (0 for integers)"
+    )
     p.set_defaults(func=_cmd_cohomology)
 
     p = sub.add_parser("retract", help="retract a homomorphism onto cycle labels")
     p.add_argument("hom", help="path to a homomorphism JSON file, or -")
-    p.add_argument("r", type=int, help="cycle length")
+    p.add_argument("r", type=_at_least(2), help="cycle length")
     p.set_defaults(func=_cmd_retract)
 
     p = sub.add_parser("hom", help="inspect a homomorphism, optionally on a word")
@@ -290,8 +340,12 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    return args.func(args) or 0
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args) or 0
+    except InputError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

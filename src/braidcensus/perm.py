@@ -321,6 +321,103 @@ def tuple_conjugacy_witness(aa, bb):
     return g
 
 
+def braid_partners(a, commuting=()):
+    """Every x with a x a = x a x that commutes with each permutation in
+    ``commuting``, in increasing order.
+
+    Backtracking on the point map of x, as in ``tuple_conjugacy_witness``,
+    with the deductions of coset enumeration (Sims, Computation with Finitely
+    Presented Groups, ch. 5): after each new image x(p) = q, every cyclic
+    rotation of a relator that starts with x at p or with x^-1 at q is
+    scanned from both ends.  A scan with exactly one gap forces the missing
+    image; a closed scan that misses its start prunes the branch.  A
+    rotation of an inverse relator is one of these closed walks run
+    backwards, which the two-ended scan already covers.
+    """
+    n = a.degree
+    img = [-1] * n  # x on {0..n-1}; -1 where not yet chosen
+    pre = [-1] * n  # x^-1 likewise
+
+    def letters(p):
+        fwd = tuple(y - 1 for y in p.images)
+        bwd = tuple(y - 1 for y in p.inv().images)
+        return (fwd, bwd), (bwd, fwd)
+
+    # A relator is a closed walk: its letters, as (map, inverse map) pairs,
+    # are applied in order and must bring every point back to itself.
+    x, x_inv = (img, pre), (pre, img)
+    a_, a_inv = letters(a)
+    relators = [(a_, x, a_, x_inv, a_inv, x_inv)]  # (x a x)^-1 a x a
+    for c in commuting:
+        c_, c_inv = letters(c)
+        relators.append((c_, x, c_inv, x_inv))  # x^-1 c^-1 x c
+    # Rotations that start with x are scanned from p, those with x^-1 from q.
+    at_x, at_x_inv = [], []
+    for rel in relators:
+        for i, letter in enumerate(rel):
+            if letter is x or letter is x_inv:
+                rot = rel[i:] + rel[:i]
+                (at_x if letter is x else at_x_inv).append(
+                    (tuple(f for f, _ in rot), tuple(b for _, b in rot))
+                )
+
+    trail = []
+
+    def define(p, q):
+        """Set x(p) = q and every image it forces; False on a contradiction."""
+        img[p], pre[q] = q, p
+        trail.append(p)
+        queue = [(p, q)]
+        while queue:
+            p, q = queue.pop()
+            for start, rotations in ((p, at_x), (q, at_x_inv)):
+                for fwd, bwd in rotations:
+                    m = len(fwd)
+                    i, f = 0, start
+                    while i < m and fwd[i][f] >= 0:
+                        f = fwd[i][f]
+                        i += 1
+                    if i == m:
+                        if f != start:
+                            return False
+                        continue
+                    j, b = m - 1, start
+                    while j > i and bwd[j][b] >= 0:
+                        b = bwd[j][b]
+                        j -= 1
+                    if j > i:
+                        continue
+                    # One gap: letter i must carry f to b.
+                    u, v = (f, b) if fwd[i] is img else (b, f)
+                    if img[u] >= 0 or pre[v] >= 0:
+                        return False
+                    img[u], pre[v] = v, u
+                    trail.append(u)
+                    queue.append((u, v))
+        return True
+
+    out = []
+
+    def search():
+        if -1 not in img:
+            out.append(Permutation(y + 1 for y in img))
+            return
+        p = img.index(-1)
+        for q in range(n):
+            if pre[q] >= 0:
+                continue
+            mark = len(trail)
+            if define(p, q):
+                search()
+            while len(trail) > mark:
+                u = trail.pop()
+                pre[img[u]] = -1
+                img[u] = -1
+
+    search()
+    return sorted(out)
+
+
 def centralizer_generators(p):
     """Generators of the centralizer of p in S(n).
 
@@ -354,8 +451,11 @@ def conjugation_orbits(pool, generators):
     (without their inverses) reaches the whole orbit.  Returns sorted
     (least member, orbit size) pairs, one per orbit that meets the pool.
     """
-    pairs = [(g, g.inv()) for g in generators]
-    remaining = set(pool)
+    # Members are image tuples behind a leading 0, so that p[y] is the image
+    # of y and tuples order as the permutations do; g p g^-1 maps g(y) to
+    # g(p(y)).
+    pairs = [((0,) + g.images, g.inv().images) for g in generators]
+    remaining = {tuple((0,) + p.images for p in tup) for tup in pool}
     out = []
     while remaining:
         start = min(remaining)
@@ -364,13 +464,16 @@ def conjugation_orbits(pool, generators):
         while frontier:
             tup = frontier.pop()
             for g, g_inv in pairs:
-                moved = tuple(g * p * g_inv for p in tup)
+                moved = tuple((0,) + tuple(g[p[y]] for y in g_inv) for p in tup)
                 if moved not in orbit:
                     orbit.add(moved)
                     frontier.append(moved)
         remaining -= orbit
         out.append((min(orbit), len(orbit)))
-    return sorted(out)
+    return [
+        (tuple(Permutation(p[1:]) for p in least), size)
+        for least, size in sorted(out)
+    ]
 
 
 @dataclass(frozen=True)

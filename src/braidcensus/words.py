@@ -113,6 +113,11 @@ def perm_image(w, images):
         raise ValueError("need at least one generator image")
     result = Permutation.identity(images[0].degree)
     for x in w:
+        if not 1 <= abs(x) <= len(images):
+            raise ValueError(
+                "letter %d names no generator: |letter| must be in 1..%d"
+                % (x, len(images))
+            )
         g = images[abs(x) - 1]
         result = result * (g if x > 0 else g.inv())
     return result

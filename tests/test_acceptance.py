@@ -226,7 +226,7 @@ def test_maps_to_fewer_points_are_cyclic(census_cache):
 
 def test_adjacent_degree_sweeps(census_cache):
     start = time.monotonic()
-    for k, n in [(6, 7), (7, 8), (6, 8), (6, 9)]:
+    for k, n in [(6, 7), (7, 8), (6, 8), (6, 9), (7, 9), (7, 10), (7, 11)]:
         for rec in select(census_cache(k, n), transitive=True):
             assert rec.cyclic
     noncyclic = select(census_cache(5, 7), cyclic=False)

@@ -9,9 +9,17 @@ from braidcensus.homs import (
     BraidHom,
     are_conjugate,
     conjugacy_classes,
+    from_sigma1_alpha,
     six_strand_ten_points,
 )
-from braidcensus.perm import Permutation, all_partitions, all_permutations
+from braidcensus.perm import (
+    Permutation,
+    all_partitions,
+    all_permutations,
+    centralizer_generators,
+    conjugacy_class_representatives,
+    conjugation_orbits,
+)
 
 
 def _brute_force_classes(k, n):
@@ -51,6 +59,34 @@ def test_census_is_complete_at_tiny_scale(k, n):
         assert len(hits) == 1
         used.add(hits[0])
         assert rec.orbit_size >= 1
+
+
+def _full_cycle_scan(k, n):
+    """Independent oracle: for each class-minimal first image, every
+    full-cycle image in S(n) that rebuilds a map, split into orbits under
+    the centralizer of the first image."""
+    sym = all_permutations(n)
+    out = []
+    for s1 in conjugacy_class_representatives(n):
+        valid = [
+            (alpha,)
+            for alpha in sym
+            if from_sigma1_alpha(k, n, s1, alpha) is not None
+        ]
+        for (alpha,), size in conjugation_orbits(
+            valid, centralizer_generators(s1)
+        ):
+            out.append((from_sigma1_alpha(k, n, s1, alpha).sigma, size))
+    return out
+
+
+@pytest.mark.parametrize(
+    "k,n",
+    [(k, n) for n in range(2, 7) for k in range(3, n + 2)] + [(3, 7), (4, 7)],
+)
+def test_chain_search_agrees_with_the_full_cycle_scan(k, n):
+    records = census(k, n)
+    assert [(r.hom.sigma, r.orbit_size) for r in records] == _full_cycle_scan(k, n)
 
 
 def test_census_is_deterministic_across_worker_counts():

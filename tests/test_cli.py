@@ -1,13 +1,20 @@
 """Command-line interface tests against committed golden outputs."""
 
 import contextlib
+import hashlib
 import io
 import json
+import multiprocessing
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import braidcensus
 from braidcensus import cli
+from braidcensus.homs import standard_hom
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 HOM_FILE = str(GOLDEN / "fivesix_hom.json")
@@ -77,3 +84,92 @@ def test_output_is_valid_sorted_json():
 def test_unknown_subcommand_is_rejected():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
+
+
+def test_census_7_10_output_is_pinned():
+    """The stdout digest recorded with the n!-row numpy scan that preceded
+    the chain search."""
+    rc, out = _run(["census", "7", "10"])
+    assert rc == 0
+    assert len(json.loads(out)["classes"]) == 45
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "df07c58a30e6add0f855ddad4ff6468ba8820eeeb8e68e65bbedf25a7d05fca3"
+    )
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    src = pathlib.Path(braidcensus.__file__).resolve().parent.parent
+    code = "import sys, braidcensus.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"
+
+
+def _three_strand_file(tmp_path):
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(standard_hom(3).to_json()))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: ["census", "3", "0"],
+        lambda tmp: ["census", "3", "4", "--workers", "0"],
+        lambda tmp: ["cohomology", "standard", "5", "-1"],
+        lambda tmp: ["hom", str(tmp / "missing.json")],
+        lambda tmp: ["hom", _three_strand_file(tmp), "--word", "[9]"],
+        lambda tmp: ["cohomology", "standard", "1", "2"],
+        lambda tmp: ["retract", _three_strand_file(tmp), "2"],
+    ],
+    ids=[
+        "census-n-0",
+        "workers-0",
+        "negative-modulus",
+        "missing-file",
+        "bad-letter",
+        "one-point-base",
+        "retract-three-strands",
+    ],
+)
+def test_bad_input_gets_one_line_and_status_2(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv(tmp_path))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert "error:" in lines[0]
+
+
+def test_workers_are_clamped_to_the_cpu_count(monkeypatch):
+    started = []
+
+    class InlinePool:
+        """Records the requested process count and maps in this process."""
+
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    rc, out = _run(["census", "3", "5", "--workers", "64"])
+    assert rc == 0
+    assert started == [3]
+    assert out == _run(["census", "3", "5"])[1]

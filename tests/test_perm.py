@@ -12,6 +12,7 @@ from braidcensus.perm import (
     Permutation,
     all_partitions,
     all_permutations,
+    braid_partners,
     canonical_of_cycle_type,
     centralizer_generators,
     conjugacy_class_representatives,
@@ -195,6 +196,18 @@ def test_class_representatives_cover_all_partitions():
         for r in reps:
             parts = tuple(p for p in r.cycle_type())
             assert canonical_of_cycle_type(parts, n) == r
+
+
+def test_braid_partners_match_a_scan_of_the_symmetric_group():
+    for n in range(1, 6):
+        sym = all_permutations(n)
+        for a in conjugacy_class_representatives(n):
+            braiding = [x for x in sym if a * x * a == x * a * x]
+            assert braid_partners(a) == braiding
+            for c in sym[:: max(1, len(sym) // 10)]:
+                assert braid_partners(a, (c,)) == [
+                    x for x in braiding if x * c == c * x
+                ]
 
 
 def test_conjugation_orbits_of_single_permutations_are_the_classes():
