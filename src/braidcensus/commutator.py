@@ -5,8 +5,9 @@ finitely presented on generators u, v, w and c_1 .. c_{k-3}; its defining
 relations are checked on construction.  The census enumerates all
 homomorphisms into S(n) up to conjugacy by staging: the c-images satisfy
 the braid relations of k-2 strands among themselves and come from the
-braid-group census, the u-image is scanned directly, and the v- and
-w-images are forced by two of the relations.
+braid-group census; two of the relations force v = c_2^-1 u c_2 and
+w = u c_1 u^-1, which turns the others into relators in u alone, and
+``perm.relator_solutions`` finds every u-image that satisfies them.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from .homs import are_conjugate  # noqa: F401  (re-exported)
 from .perm import (
     Permutation,
     GeneratedGroup,
-    all_permutations,
     centralizer_generators,
     conjugation_orbits,
+    relator_solutions,
 )
 
 
@@ -188,6 +189,32 @@ def restrict_braid_hom(hom):
     )
 
 
+def _u_relators(c):
+    """The relations of ``_relations_report`` that involve u, v or w, with
+    v = c2^-1 u c2 and w = u c1 u^-1 substituted: relator words in u alone
+    for ``perm.relator_solutions``, where None stands for u.  The relations
+    that the substitution makes hold outright reduce to empty words."""
+
+    def inv(word):
+        return tuple((g, -e) for g, e in reversed(word))
+
+    u = ((None, 1),)
+    c1, c2 = ((c[0], 1),), ((c[1], 1),)
+    v = inv(c2) + u + c2
+    w = u + c1 + inv(u)
+    c1w = inv(c1) + w
+    rels = [
+        (u + c1 + inv(u), w),
+        (u + w + inv(u), w + w + inv(c1) + w),
+        (v + c1 + inv(v), c1w),
+        (v + w + inv(v), c1w * 3 + inv(c1) * 2 + w),
+    ]
+    for ci in c[1:]:
+        ci = ((ci, 1),)
+        rels += [(u + ci, ci + v), (v + ci, ci + inv(u) + v)]
+    return [lhs + inv(rhs) for lhs, rhs in rels]
+
+
 def commutator_census(k, n):
     """All homomorphisms of the commutator subgroup into S(n), one per
     conjugacy class, for k in {5, 6}.
@@ -196,25 +223,24 @@ def commutator_census(k, n):
     k-2 strands, so the chains are taken one per conjugacy class from
     census(k - 2, n), whose first image is class-minimal.  The u-image
     determines v through the mixed relation at the second chain element
-    and w through conjugation, so a full scan over u suffices; surviving
-    tuples are validated against every relation and split into orbits
+    and w through conjugation, so the remaining relations constrain u
+    alone, and the relator search finds every u-image at once; each is
+    validated against every relation, and the tuples are split into orbits
     under the centralizer of the first chain image.
     """
     if k not in (5, 6):
         raise ValueError("the staged census is provided for k in {5, 6}")
-    sym = all_permutations(n)
     by_c1 = {}
     for rec in census(k - 2, n):
         chain = rec.hom.sigma
         c1, c2 = chain[0], chain[1]
         pool = by_c1.setdefault(c1, [])
-        for u in sym:
+        for u in relator_solutions(n, _u_relators(chain)):
             v = c2.inv() * u * c2
-            if v * c2 != c2 * u.inv() * v:
-                continue
             w = u * c1 * u.inv()
-            if _relations_report(k, u, v, w, chain)[0]:
-                pool.append(chain[1:] + (u,))
+            if not _relations_report(k, u, v, w, chain)[0]:
+                raise RuntimeError("relator search found an invalid u-image")
+            pool.append(chain[1:] + (u,))
     out = []
     for c1 in sorted(by_c1):
         # Census chains are pairwise non-conjugate, so each orbit meets the

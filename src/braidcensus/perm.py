@@ -216,36 +216,10 @@ def r_component(p, r):
     return RComponent(r=r, cycles=cycs, support=supp)
 
 
-def conjugacy_witness(a, b):
-    """Some g with g a g^-1 = b, or None if the cycle types differ.
-
-    Cycles are aligned longest-first, ties broken by minimum element,
-    so the witness is deterministic.
-    """
-    if a.degree != b.degree:
-        raise ValueError("degree mismatch")
-    if a.cycle_type() != b.cycle_type():
-        return None
-
-    def keyed(p):
-        cycs = p.cycles(include_fixed=True)
-        return sorted(cycs, key=lambda c: (-len(c), min(c)))
-
-    images = [0] * a.degree
-    for ca, cb in zip(keyed(a), keyed(b)):
-        for x, y in zip(ca, cb):
-            images[x - 1] = y
-    g = Permutation(images)
-    if a.conj(g) != b:
-        raise RuntimeError("conjugacy witness fails to conjugate")
-    return g
-
-
 def tuple_conjugacy_witness(aa, bb):
-    """Some g with g aa[i] g^-1 = bb[i] for all i, or None.
+    """The least g with g aa[i] g^-1 = bb[i] for all i, or None.
 
-    Backtracking on the point map with constraint propagation through
-    every pair (aa[i], bb[i]).
+    The first solution of the relators x aa[i] x^-1 bb[i]^-1.
     """
     if len(aa) != len(bb):
         raise ValueError("tuple length mismatch")
@@ -254,68 +228,12 @@ def tuple_conjugacy_witness(aa, bb):
     n = aa[0].degree
     if any(p.degree != n for p in aa + bb):
         raise ValueError("degree mismatch")
-
-    # Fast necessary check plus per-point candidate pruning data.
-    def cycle_len_profile(perms, x):
-        return tuple(len_of_cycle(p, x) for p in perms)
-
-    def len_of_cycle(p, x):
-        l, y = 1, p(x)
-        while y != x:
-            l += 1
-            y = p(y)
-        return l
-
-    prof_a = {x: cycle_len_profile(aa, x) for x in range(1, n + 1)}
-    prof_b = {}
-    for x in range(1, n + 1):
-        prof_b.setdefault(cycle_len_profile(bb, x), []).append(x)
-    if sorted(prof_a.values()) != sorted(
-        k for k, v in prof_b.items() for _ in v
-    ):
-        return None
-
-    def propagate(gmap, used, x0, y0):
-        """Extend gmap with x0 -> y0 and its closure; return new pairs or None."""
-        added = []
-        stack = [(x0, y0)]
-        while stack:
-            x, y = stack.pop()
-            if x in gmap:
-                if gmap[x] != y:
-                    undo(gmap, used, added)
-                    return None
-                continue
-            if y in used:
-                undo(gmap, used, added)
-                return None
-            gmap[x] = y
-            used.add(y)
-            added.append(x)
-            for p, q in zip(aa, bb):
-                stack.append((p(x), q(y)))
-        return added
-
-    def undo(gmap, used, added):
-        for x in added:
-            used.discard(gmap.pop(x))
-
-    def search(gmap, used):
-        if len(gmap) == n:
-            return Permutation(gmap[x] for x in range(1, n + 1))
-        x = min(set(range(1, n + 1)) - set(gmap))
-        for y in prof_b.get(prof_a[x], []):
-            if y in used:
-                continue
-            added = propagate(gmap, used, x, y)
-            if added is not None:
-                result = search(gmap, used)
-                if result is not None:
-                    return result
-                undo(gmap, used, added)
-        return None
-
-    g = search({}, set())
+    found = relator_solutions(
+        n,
+        [((None, 1), (a, 1), (None, -1), (b, -1)) for a, b in zip(aa, bb)],
+        first=True,
+    )
+    g = found[0] if found else None
     if g is not None and any(p.conj(g) != q for p, q in zip(aa, bb)):
         raise RuntimeError("conjugacy witness fails to conjugate")
     return g
@@ -323,43 +241,83 @@ def tuple_conjugacy_witness(aa, bb):
 
 def braid_partners(a, commuting=()):
     """Every x with a x a = x a x that commutes with each permutation in
-    ``commuting``, in increasing order.
+    ``commuting``, in increasing order."""
+    x, x_inv = (None, 1), (None, -1)
+    relators = [((a, 1), x, (a, 1), x_inv, (a, -1), x_inv)]
+    relators += [(x, (c, 1), x_inv, (c, -1)) for c in commuting]
+    return relator_solutions(a.degree, relators)
 
-    Backtracking on the point map of x, as in ``tuple_conjugacy_witness``,
-    with the deductions of coset enumeration (Sims, Computation with Finitely
-    Presented Groups, ch. 5): after each new image x(p) = q, every cyclic
-    rotation of a relator that starts with x at p or with x^-1 at q is
-    scanned from both ends.  A scan with exactly one gap forces the missing
-    image; a closed scan that misses its start prunes the branch.  A
-    rotation of an inverse relator is one of these closed walks run
-    backwards, which the two-ended scan already covers.
+
+def relator_solutions(n, relators, first=False):
+    """Every x in S(n) for which each relator is the identity, in
+    increasing order; with ``first``, only the least one.
+
+    A relator is a word: a sequence of letters (g, e), read as the product
+    g_1^e_1 * g_2^e_2 * ..., where g is a fixed permutation of degree n or
+    None for the unknown x, and the exponent e is 1 or -1.  Letters g^e and
+    g^-e of the same object cancel first, next to each other and across the
+    ends of the word; that changes no solution, it only lets the scans below
+    see further.
+
+    Backtracking on the point map of x with the deductions of coset
+    enumeration (Sims, Computation with Finitely Presented Groups, ch. 5):
+    after each new image x(p) = q, every cyclic rotation of a relator that
+    starts with x at p or with x^-1 at q is scanned from both ends.  A scan
+    with exactly one gap forces the missing image; a closed scan that misses
+    its start prunes the branch.  A rotation of an inverse relator is one of
+    these closed walks run backwards, which the two-ended scan already
+    covers.  Each branch defines the least point without an image and tries
+    its images in increasing order, so solutions come out sorted.
     """
-    n = a.degree
     img = [-1] * n  # x on {0..n-1}; -1 where not yet chosen
     pre = [-1] * n  # x^-1 likewise
+    # Each letter as the pair (its map, the inverse map) on {0..n-1}, by
+    # generator and then by exponent 1 or -1.
+    tables = {None: ((img, pre), (pre, img))}
 
-    def letters(p):
-        fwd = tuple(y - 1 for y in p.images)
-        bwd = tuple(y - 1 for y in p.inv().images)
-        return (fwd, bwd), (bwd, fwd)
-
-    # A relator is a closed walk: its letters, as (map, inverse map) pairs,
-    # are applied in order and must bring every point back to itself.
-    x, x_inv = (img, pre), (pre, img)
-    a_, a_inv = letters(a)
-    relators = [(a_, x, a_, x_inv, a_inv, x_inv)]  # (x a x)^-1 a x a
-    for c in commuting:
-        c_, c_inv = letters(c)
-        relators.append((c_, x, c_inv, x_inv))  # x^-1 c^-1 x c
-    # Rotations that start with x are scanned from p, those with x^-1 from q.
+    # A relator is a closed walk: the letters of the word, last one first,
+    # must bring every point back to itself.  Rotations that start with x
+    # are scanned from p, those with x^-1 from q.
     at_x, at_x_inv = [], []
-    for rel in relators:
-        for i, letter in enumerate(rel):
-            if letter is x or letter is x_inv:
-                rot = rel[i:] + rel[:i]
-                (at_x if letter is x else at_x_inv).append(
-                    (tuple(f for f, _ in rot), tuple(b for _, b in rot))
-                )
+    for word in relators:
+        red = []
+        for g, e in word:
+            if e not in (1, -1):
+                raise ValueError("exponents must be 1 or -1")
+            if red and red[-1][0] is g and red[-1][1] == -e:
+                red.pop()
+            else:
+                red.append((g, e))
+        while (
+            len(red) > 1
+            and red[0][0] is red[-1][0]
+            and red[0][1] == -red[-1][1]
+        ):
+            red = red[1:-1]
+        red.reverse()
+        walk = []
+        for g, e in red:
+            pairs = tables.get(g)
+            if pairs is None:
+                if g.degree != n:
+                    raise ValueError("degree mismatch")
+                fwd = tuple([y - 1 for y in g.images])
+                # The inverse lists the points in the order of their images.
+                bwd = tuple(sorted(range(n), key=fwd.__getitem__))
+                pairs = tables[g] = ((fwd, bwd), (bwd, fwd))
+            walk.append(pairs[e < 0])
+        xs = [i for i, (g, _) in enumerate(red) if g is None]
+        if not xs:
+            # No x: the word holds for every x or for none.
+            for start in range(n):
+                f = start
+                for fwd, _ in walk:
+                    f = fwd[f]
+                if f != start:
+                    return []
+        for i in xs:
+            rot = walk[i:] + walk[:i]
+            (at_x if red[i][1] == 1 else at_x_inv).append(tuple(zip(*rot)))
 
     trail = []
 
@@ -399,23 +357,28 @@ def braid_partners(a, commuting=()):
     out = []
 
     def search():
+        """Extend the current map; True once ``first`` has its solution."""
         if -1 not in img:
             out.append(Permutation(y + 1 for y in img))
-            return
+            return first
         p = img.index(-1)
         for q in range(n):
             if pre[q] >= 0:
                 continue
             mark = len(trail)
-            if define(p, q):
-                search()
+            if define(p, q) and search():
+                return True
             while len(trail) > mark:
                 u = trail.pop()
                 pre[img[u]] = -1
                 img[u] = -1
+        return False
 
     search()
-    return sorted(out)
+    # search sees itself through its closure; breaking that cycle frees the
+    # tables now rather than at the next run of the cycle collector.
+    del search
+    return out
 
 
 def centralizer_generators(p):

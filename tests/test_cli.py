@@ -98,6 +98,18 @@ def test_census_7_10_output_is_pinned():
     )
 
 
+def test_census_bprime_6_7_output_is_pinned():
+    """The stdout digest recorded with the scan of S(7) for the u-image
+    that preceded the relator search."""
+    rc, out = _run(["census-bprime", "6", "7"])
+    assert rc == 0
+    assert len(json.loads(out)["classes"]) == 3
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "ed39da3b5d8d68378eadc1b8ccec427ee9dc0a791c5c29b68070426f032ea33a"
+    )
+
+
 def test_importing_the_cli_leaves_numpy_unloaded():
     src = pathlib.Path(braidcensus.__file__).resolve().parent.parent
     code = "import sys, braidcensus.cli; print('numpy' in sys.modules)"

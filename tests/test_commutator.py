@@ -2,8 +2,11 @@
 
 import pytest
 
+from braidcensus.census import census
 from braidcensus.commutator import (
     CommutatorHom,
+    _relations_report,
+    _u_relators,
     are_conjugate,
     commutator_census,
     exceptional_commutator_hom_six,
@@ -16,6 +19,7 @@ from braidcensus.perm import (
     Permutation,
     all_permutations,
     conjugacy_class_representatives,
+    relator_solutions,
 )
 from braidcensus.words import exponent_sum
 
@@ -108,7 +112,7 @@ def _staged_scan(k, n):
     return classes
 
 
-@pytest.mark.parametrize("k,n", [(5, 4), (5, 5), (6, 5), (5, 6)])
+@pytest.mark.parametrize("k,n", [(5, 4), (5, 5), (6, 5), (5, 6), (6, 6)])
 def test_census_agrees_with_the_staged_scan(k, n):
     found = commutator_census(k, n)
     expected = _staged_scan(k, n)
@@ -119,3 +123,18 @@ def test_census_agrees_with_the_staged_scan(k, n):
         assert len(hits) == 1, h.to_json()
         matched.add(hits[0])
     assert len(matched) == len(expected)
+
+
+@pytest.mark.parametrize("k,n", [(5, 5), (6, 5), (5, 6)])
+def test_u_search_finds_exactly_the_u_images_that_pass_the_relations(k, n):
+    sym = all_permutations(n)
+    for rec in census(k - 2, n):
+        c = rec.hom.sigma
+        expected = [
+            u
+            for u in sym
+            if _relations_report(
+                k, u, c[1].inv() * u * c[1], u * c[0] * u.inv(), c
+            )[0]
+        ]
+        assert relator_solutions(n, _u_relators(c)) == expected

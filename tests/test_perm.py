@@ -16,11 +16,11 @@ from braidcensus.perm import (
     canonical_of_cycle_type,
     centralizer_generators,
     conjugacy_class_representatives,
-    conjugacy_witness,
     conjugation_orbits,
     disjoint_product,
     invariant_subsets,
     r_component,
+    relator_solutions,
     tuple_conjugacy_witness,
 )
 
@@ -69,7 +69,7 @@ def test_conjugacy_witness_exists_iff_types_agree():
         reps = conjugacy_class_representatives(n)
         for a in reps:
             for b in reps:
-                w = conjugacy_witness(a, b)
+                w = tuple_conjugacy_witness((a,), (b,))
                 if a.cycle_type() == b.cycle_type():
                     assert w is not None and a.conj(w) == b
                 else:
@@ -208,6 +208,52 @@ def test_braid_partners_match_a_scan_of_the_symmetric_group():
                 assert braid_partners(a, (c,)) == [
                     x for x in braiding if x * c == c * x
                 ]
+
+
+def _evaluate(word, x):
+    out = Permutation.identity(x.degree)
+    for g, e in word:
+        g = x if g is None else g
+        out = out * (g if e == 1 else g.inv())
+    return out
+
+
+def test_relator_solutions_match_a_scan_of_the_symmetric_group():
+    rng = random.Random(11)
+    n = 4
+    sym = all_permutations(n)
+    for _ in range(80):
+        fixed = [rng.choice(sym) for _ in range(2)]
+        relators = [
+            tuple(
+                (rng.choice([None, None] + fixed), rng.choice([1, -1]))
+                for _ in range(rng.randint(1, 7))
+            )
+            for _ in range(rng.randint(1, 2))
+        ]
+        expected = [
+            x
+            for x in sym
+            if all(_evaluate(w, x).is_identity() for w in relators)
+        ]
+        assert relator_solutions(n, relators) == expected
+        assert relator_solutions(n, relators, first=True) == expected[:1]
+
+
+def test_relator_solutions_edge_cases():
+    n = 3
+    a = Permutation.from_cycles("(1,2)", n)
+    x, x_inv = (None, 1), (None, -1)
+    # words that reduce to nothing, or to a letter without x
+    sym = all_permutations(n)
+    assert relator_solutions(n, [(x, x_inv)]) == sym
+    assert relator_solutions(n, [(x, (a, 1), (a, -1), x_inv)]) == sym
+    assert relator_solutions(n, [(x, (a, 1), x_inv)]) == []
+    assert relator_solutions(n, [(x, (a, 1), (a, 1), x_inv)]) == sym
+    with pytest.raises(ValueError):
+        relator_solutions(n, [(x, (a, 2))])
+    with pytest.raises(ValueError):
+        relator_solutions(n, [(x, (Permutation.identity(4), 1))])
 
 
 def test_conjugation_orbits_of_single_permutations_are_the_classes():
