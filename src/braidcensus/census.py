@@ -75,12 +75,11 @@ def _census_one_class(args):
         # Conjugating by C(s1) carries the chains through s2 onto those
         # through each member of its orbit.
         maps += s2_orbit * len(chains)
+        # census() checks each orbit's representative; validity is C(s1)-invariant.
         for chain in chains:
             alpha = chain[0]
             for g in chain[1:]:
                 alpha = alpha * g
-            if from_sigma1_alpha(k, n, s1, alpha) is None:
-                raise RuntimeError("chain search found an invalid map")
             pool.append((alpha,))
     # Two maps sharing s1 are conjugate exactly when an element of the
     # centralizer of s1 carries one full-cycle image to the other.  The

@@ -208,6 +208,9 @@ def _suite_cohomology():
     out["standard five strands r=2"] = cohomology.h1_invariants(
         homs.standard_hom(5), 2
     ) == [2, 2]
+    out["standard five strands r=0"] = cohomology.h1_invariants(
+        homs.standard_hom(5), 0
+    ) == [0, 0]
     out["exceptional six r=2"] = cohomology.h1_invariants(
         homs.exceptional_hom_six(), 2
     ) == [2]

@@ -185,8 +185,8 @@ _SNF_CACHE = {}
 
 
 def _smith_normal_form_cached(M):
-    """Memoized diagonalization; the cocycle system of a base homomorphism
-    is reused across every coefficient modulus."""
+    """Memoized diagonalization; the cocycle and coboundary matrices of a
+    base homomorphism are reused across every coefficient modulus."""
     key = tuple(tuple(row) for row in M)
     if key not in _SNF_CACHE:
         _SNF_CACHE[key] = smith_normal_form(M)
@@ -313,58 +313,37 @@ def solution_count(M, r):
     return count
 
 
-def _solve_diagonalized(D, U, V, ncols, b):
-    """Integer x with B x = b given a diagonalization U*B*V=D, or raise."""
-    rows = len(U)
-    d = _diag(D)
-    rhs = [sum(U[i][j] * b[j] for j in range(rows)) for i in range(rows)]
-    y = [0] * ncols
-    for i in range(rows):
-        di = d[i] if i < len(d) else 0
-        if i < len(y) and di:
-            if rhs[i] % di:
-                raise ValueError("no integer solution")
-            y[i] = rhs[i] // di
-        elif rhs[i]:
-            raise ValueError("no integer solution")
-    return [sum(V[i][j] * y[j] for j in range(len(y))) for i in range(len(y))]
-
-
-def lattice_quotient_invariants(Lgens, Kgens):
-    """Invariant factors of the quotient of the lattice spanned by Lgens by
-    its sublattice spanned by Kgens (1s dropped, 0 meaning a Z summand)."""
-    rows = len(Lgens[0])
-    M_L = [[Lgens[j][i] for j in range(len(Lgens))] for i in range(rows)]
-    D, U, V = _smith_normal_form_cached(M_L)
-    X_cols = [_solve_diagonalized(D, U, V, len(Lgens), k) for k in Kgens]
-    M = [[col[i] for col in X_cols] for i in range(len(Lgens))]
-    D, _, _ = _smith_normal_form_cached(M)
-    d = _diag(D)
-    out = []
-    for i in range(len(Lgens)):
-        di = abs(d[i]) if i < len(d) else 0
-        if di != 1:
-            out.append(di)
-    return sorted(out, key=lambda v: (v == 0, v))
-
-
 def h1_invariants(omega, r):
     """Invariant factors of the first cohomology over Z/r (r = 0 means Z).
 
-    The result lists the cyclic summands' orders, 1s dropped, 0 for Z."""
-    m, t = omega.k, omega.n
+    The result lists the cyclic summands' orders, 1s dropped, 0 for Z.
+
+    The cochains form a complex of free abelian groups Z^t -B-> Z^N -M->
+    Z^R, so by the universal coefficient theorem
+    H^1(Z/r) = H^1(Z) (x) Z/r + Tor(coker M, Z/r).  With d and b the
+    nonzero Smith diagonals of M and B, H^1(Z) = Z^f + sum Z/b_i with
+    f = N - |d| - |b| (ker M is saturated, so its quotient by im B has
+    the torsion of Z^N / im B), and Tor(coker M, Z/r) = sum Z/gcd(d_i, r)."""
     M = cocycle_matrix(omega)
-    L = kernel_lattice(M, r)
-    cols = (m - 1) * t
     B = coboundary_matrix(omega)
-    Kgens = [[B[i][j] for i in range(cols)] for j in range(t)]
-    if r:
-        Kgens += [
-            [r if i == j else 0 for i in range(cols)] for j in range(cols)
-        ]
-    if not L:
-        return []
-    return lattice_quotient_invariants(L, Kgens)
+    if any(
+        sum(a * row_b[j] for a, row_b in zip(row, B))
+        for row in M
+        for j in range(omega.n)
+    ):
+        raise RuntimeError("coboundaries are not cocycles")
+    d = [x for x in _diag(_smith_normal_form_cached(M)[0]) if x]
+    b = [x for x in _diag(_smith_normal_form_cached(B)[0]) if x]
+    free = [0] * ((omega.k - 1) * omega.n - len(d) - len(b))
+    orders = free + b if r == 0 else [math.gcd(x, r) for x in free + b + d]
+    orders = [x for x in orders if x != 1]
+    # The Smith form of the diagonal merges coprime orders into invariant
+    # factors, ascending by divisibility with the Z summands last.
+    D, _, _ = smith_normal_form(
+        [[x if i == j else 0 for j in range(len(orders))]
+         for i, x in enumerate(orders)]
+    )
+    return [x for x in _diag(D) if x != 1]
 
 
 def all_cocycles(omega, r):

@@ -248,18 +248,22 @@ def test_adjacent_degree_sweeps(census_cache):
 
 def test_first_cohomology_invariant_factors():
     start = time.monotonic()
-    for r in (2, 3, 4, 5):
+    for r in (0, 1, 2, 3, 4, 5, 6, 8, 12):
+        # Over Z (r = 0) the 2-torsion of the five-strand base is gone: it
+        # is the Tor term of the universal coefficient theorem.
+        standard = [r, r] if r != 1 else []
+        fivesix = [x for x in (math.gcd(2, r), r) if x != 1] if r else [0]
+        single = [r] if r != 1 else []
         for base in (standard_hom(5), standard_hom(6), standard_hom(7)):
-            assert h1_invariants(base, r) == [r, r]
-        expected = sorted(x for x in (math.gcd(2, r), r) if x != 1)
-        assert h1_invariants(five_strand_six_points(), r) == expected
-        assert h1_invariants(exceptional_hom_six(), r) == [r]
+            assert h1_invariants(base, r) == standard
+        assert h1_invariants(five_strand_six_points(), r) == fivesix
+        assert h1_invariants(exceptional_hom_six(), r) == single
         for m in (5, 6, 7):
             for t in range(2, 7):
                 cyc = cyclic_hom(
                     m, Permutation.from_cycles([tuple(range(1, t + 1))], t)
                 )
-                assert h1_invariants(cyc, r) == [r]
+                assert h1_invariants(cyc, r) == single
     assert time.monotonic() - start < 5.0
 
 

@@ -110,6 +110,38 @@ def test_census_bprime_6_7_output_is_pinned():
     )
 
 
+def test_cohomology_grid_output_is_pinned():
+    """The 12 bases and 8 moduli of the benchmark's cohomology workload, in
+    its order and in one process; the digest was recorded with the lattice
+    solves that preceded the universal-coefficient route."""
+    bases = (
+        [("standard", n) for n in range(5, 10)]
+        + [("fivesix", 6), ("exceptional6", 6)]
+        + [("cyclic", n) for n in range(2, 7)]
+    )
+    outs = []
+    for base, n in bases:
+        for r in (0, 2, 3, 4, 5, 6, 8, 12):
+            rc, out = _run(["cohomology", base, str(n), str(r)])
+            assert rc == 0
+            outs.append(out)
+    assert (
+        hashlib.sha256("".join(outs).encode()).hexdigest()
+        == "6615f1eaae2f0fe2a05a77b942352221f3587fd123651eaf22d929186911ce70"
+    )
+
+
+@pytest.mark.parametrize("r,invariants", [(3, [3]), (0, [0])])
+def test_cohomology_of_the_two_strand_base(r, invariants):
+    """B_2 has no relations, so every cochain is a cocycle and H^1 is the
+    coinvariants of the swap."""
+    rc, out = _run(["cohomology", "standard", "2", str(r)])
+    assert rc == 0
+    payload = json.loads(out)
+    assert (payload["strands"], payload["points"]) == (2, 2)
+    assert payload["invariants"] == invariants
+
+
 def test_importing_the_cli_leaves_numpy_unloaded():
     src = pathlib.Path(braidcensus.__file__).resolve().parent.parent
     code = "import sys, braidcensus.cli; print('numpy' in sys.modules)"

@@ -1,12 +1,15 @@
 """Unit tests for twisted one-cocycles and the integer linear algebra."""
 
 import random
+import time
 
 import pytest
 
 from braidcensus.cohomology import (
+    _diag,
     all_coboundaries,
     all_cocycles,
+    coboundary_matrix,
     coboundary_of,
     cocycle_from_hom,
     cocycle_matrix,
@@ -22,7 +25,13 @@ from braidcensus.cohomology import (
     split_hom,
     standard_base_cocycle,
 )
-from braidcensus.homs import cyclic_hom, standard_hom
+from braidcensus.homs import (
+    cyclic_hom,
+    doubled_standard_classes,
+    exceptional_hom_six,
+    five_strand_six_points,
+    standard_hom,
+)
 from braidcensus.perm import Permutation
 
 
@@ -176,3 +185,60 @@ def test_cocycle_from_hom_rejects_non_block_maps():
 def test_equality_mod():
     assert cocycles_equal_mod([(0, 2)], [(4, 6)], 4)
     assert not cocycles_equal_mod([(0, 2)], [(1, 2)], 4)
+
+
+def _solve_all(M, rhs):
+    """Integer x with M x = b for each b in rhs, through one Smith form."""
+    D, U, V = smith_normal_form(M)
+    d = _diag(D)
+    out = []
+    for b in rhs:
+        y = [0] * len(V)
+        for i, row in enumerate(U):
+            v = sum(u * x for u, x in zip(row, b))
+            di = d[i] if i < len(d) else 0
+            assert v % di == 0 if di else v == 0
+            if di:
+                y[i] = v // di
+        out.append([sum(a * x for a, x in zip(row, y)) for row in V])
+    return out
+
+
+def _h1_by_lattice_quotient(omega, r):
+    """H^1 over Z/r as the cocycle lattice modulo the coboundaries plus
+    r Z^N: each generator of the latter is written in a basis of the
+    former, and the Smith form of that matrix gives the quotient."""
+    cols = (omega.k - 1) * omega.n
+    unit = [[int(i == j) for i in range(cols)] for j in range(cols)]
+    M = cocycle_matrix(omega)
+    L = kernel_lattice(M, r) if M else unit
+    if not L:
+        return []
+    B = coboundary_matrix(omega)
+    K = [[row[j] for row in B] for j in range(omega.n)]
+    K += [[r * x for x in e] for e in unit] if r else []
+    basis = [[g[i] for g in L] for i in range(cols)]
+    X = _solve_all(basis, K)
+    D, _, _ = smith_normal_form([[x[i] for x in X] for i in range(len(L))])
+    d = _diag(D)
+    out = [abs(d[i]) if i < len(d) else 0 for i in range(len(L))]
+    return sorted((v for v in out if v != 1), key=lambda v: (v == 0, v))
+
+
+def _named_bases(max_points):
+    for n in range(2, max_points + 1):
+        yield standard_hom(n)
+        yield cyclic_hom(
+            max(n + 1, 5), Permutation.from_cycles([tuple(range(1, n + 1))], n)
+        )
+    yield five_strand_six_points()
+    yield exceptional_hom_six()
+    yield from doubled_standard_classes(3)
+
+
+def test_h1_agrees_with_the_lattice_quotient():
+    start = time.monotonic()
+    for base in _named_bases(7):
+        for r in (0, 1, 2, 3, 4, 6, 8, 12):
+            assert h1_invariants(base, r) == _h1_by_lattice_quotient(base, r)
+    assert time.monotonic() - start < 5.0
