@@ -181,18 +181,6 @@ def split_hom(omega, r):
 # Integer linear algebra: diagonalization with tracked transforms.
 
 
-_SNF_CACHE = {}
-
-
-def _smith_normal_form_cached(M):
-    """Memoized diagonalization; the cocycle and coboundary matrices of a
-    base homomorphism are reused across every coefficient modulus."""
-    key = tuple(tuple(row) for row in M)
-    if key not in _SNF_CACHE:
-        _SNF_CACHE[key] = smith_normal_form(M)
-    return _SNF_CACHE[key]
-
-
 def smith_normal_form(M):
     """Return (diag, U, V) with U*M*V diagonal, U and V unimodular.
 
@@ -227,15 +215,34 @@ def smith_normal_form(M):
         A[i] = [-a for a in A[i]]
         U[i] = [-a for a in U[i]]
 
+    def least_entry(d):
+        """The first entry of least absolute value in A[d:][d:], row by row,
+        or None if all are zero.  A unit ends the scan: nothing is smaller."""
+        pivot, least = None, 0
+        for i in range(d, rows):
+            seg = A[i][d:]
+            if not any(seg):
+                continue
+            here = min(map(abs, filter(None, seg)))
+            if not least or here < least:
+                j = next(j for j, a in enumerate(seg, d) if abs(a) == here)
+                pivot, least = (i, j), here
+                if least == 1:
+                    return pivot
+        return pivot
+
+    def mix_in_nondivisible(d):
+        """Add to row d the first later row with an entry in a later column
+        that A[d][d] does not divide; False if there is none."""
+        for i in range(d + 1, rows):
+            if any(a % A[d][d] for a in A[i][d + 1 :]):
+                add_row(d, i, 1)
+                return True
+        return False
+
     for d in range(min(rows, cols)):
         while True:
-            pivot = None
-            for i in range(d, rows):
-                for j in range(d, cols):
-                    if A[i][j] and (
-                        pivot is None or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])
-                    ):
-                        pivot = (i, j)
+            pivot = least_entry(d)
             if pivot is None:
                 break
             i, j = pivot
@@ -256,18 +263,9 @@ def smith_normal_form(M):
                     add_col(j, d, -(A[d][j] // A[d][d]))
                     if A[d][j]:
                         clean = False
-            if clean:
-                off = False
-                for i in range(d + 1, rows):
-                    for j in range(d + 1, cols):
-                        if A[i][j] % A[d][d]:
-                            add_row(d, i, 1)
-                            off = True
-                            break
-                    if off:
-                        break
-                if not off:
-                    break
+            # A pivot of 1 divides every entry, so it needs no sweep.
+            if clean and (A[d][d] == 1 or not mix_in_nondivisible(d)):
+                break
     return A, U, V
 
 
@@ -284,7 +282,7 @@ def kernel_lattice(M, r):
     if not M:
         raise ValueError("empty system")
     cols = len(M[0])
-    D, _, V = _smith_normal_form_cached(M)
+    D, _, V = smith_normal_form(M)
     d = _diag(D)
     gens = []
     for j in range(cols):
@@ -304,13 +302,42 @@ def solution_count(M, r):
     if r < 2:
         raise ValueError("need r >= 2")
     cols = len(M[0])
-    D, _, _ = _smith_normal_form_cached(M)
+    D, _, _ = smith_normal_form(M)
     d = _diag(D)
     count = 1
     for j in range(cols):
         dj = d[j] if j < len(d) else 0
         count *= math.gcd(dj, r) if dj else r
     return count
+
+
+# The nonzero Smith diagonals (d of M, b of B) of each base homomorphism,
+# keyed by what fixes M and B: the strand count, the point count and the
+# generator images.  Every modulus reads H^1 off the same pair.
+_SMITH_PAIRS = {}
+
+
+def _smith_pair(omega):
+    key = (omega.k, omega.n, tuple(s.images for s in omega.sigma))
+    pair = _SMITH_PAIRS.get(key)
+    if pair is None:
+        M = cocycle_matrix(omega)
+        B = coboundary_matrix(omega)
+        # M B = 0 over the nonzero entries: a row of M has at most six, a
+        # row of B at most two.
+        sparse_B = [[(j, x) for j, x in enumerate(row) if x] for row in B]
+        for row in M:
+            total = {}
+            for i, a in enumerate(row):
+                if a:
+                    for j, x in sparse_B[i]:
+                        total[j] = total.get(j, 0) + a * x
+            if any(total.values()):
+                raise RuntimeError("coboundaries are not cocycles")
+        pair = _SMITH_PAIRS[key] = tuple(
+            tuple(x for x in _diag(smith_normal_form(A)[0]) if x) for A in (M, B)
+        )
+    return pair
 
 
 def h1_invariants(omega, r):
@@ -323,18 +350,12 @@ def h1_invariants(omega, r):
     H^1(Z/r) = H^1(Z) (x) Z/r + Tor(coker M, Z/r).  With d and b the
     nonzero Smith diagonals of M and B, H^1(Z) = Z^f + sum Z/b_i with
     f = N - |d| - |b| (ker M is saturated, so its quotient by im B has
-    the torsion of Z^N / im B), and Tor(coker M, Z/r) = sum Z/gcd(d_i, r)."""
-    M = cocycle_matrix(omega)
-    B = coboundary_matrix(omega)
-    if any(
-        sum(a * row_b[j] for a, row_b in zip(row, B))
-        for row in M
-        for j in range(omega.n)
-    ):
-        raise RuntimeError("coboundaries are not cocycles")
-    d = [x for x in _diag(_smith_normal_form_cached(M)[0]) if x]
-    b = [x for x in _diag(_smith_normal_form_cached(B)[0]) if x]
-    free = [0] * ((omega.k - 1) * omega.n - len(d) - len(b))
+    the torsion of Z^N / im B), and Tor(coker M, Z/r) = sum Z/gcd(d_i, r).
+
+    The check M B = 0 and the Smith forms of M and B run once per base
+    homomorphism; every later modulus only takes gcds and merges them."""
+    d, b = _smith_pair(omega)
+    free = (0,) * ((omega.k - 1) * omega.n - len(d) - len(b))
     orders = free + b if r == 0 else [math.gcd(x, r) for x in free + b + d]
     orders = [x for x in orders if x != 1]
     # The Smith form of the diagonal merges coprime orders into invariant

@@ -25,6 +25,15 @@ class Permutation:
             raise ValueError("images must be a bijection of {1..%d}: %r" % (n, images))
         object.__setattr__(self, "images", images)
 
+    @classmethod
+    def _trusted(cls, images):
+        """Wrap a tuple of ints already known to be a bijection of {1..n},
+        without the check of ``__init__``: for results that are bijections
+        by construction, such as products and inverses."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
@@ -64,13 +73,13 @@ class Permutation:
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
         im = self.images
-        return Permutation(im[y - 1] for y in other.images)
+        return Permutation._trusted(tuple([im[y - 1] for y in other.images]))
 
     def inv(self):
         out = [0] * self.degree
         for x, y in enumerate(self.images, start=1):
             out[y - 1] = x
-        return Permutation(out)
+        return Permutation._trusted(tuple(out))
 
     def __pow__(self, e):
         if e < 0:
@@ -359,7 +368,7 @@ def relator_solutions(n, relators, first=False):
     def search():
         """Extend the current map; True once ``first`` has its solution."""
         if -1 not in img:
-            out.append(Permutation(y + 1 for y in img))
+            out.append(Permutation._trusted(tuple([y + 1 for y in img])))
             return first
         p = img.index(-1)
         for q in range(n):
@@ -434,7 +443,7 @@ def conjugation_orbits(pool, generators):
         remaining -= orbit
         out.append((min(orbit), len(orbit)))
     return [
-        (tuple(Permutation(p[1:]) for p in least), size)
+        (tuple(Permutation._trusted(p[1:]) for p in least), size)
         for least, size in sorted(out)
     ]
 

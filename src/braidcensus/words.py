@@ -71,8 +71,13 @@ def _find_handle(w):
     return None
 
 
-def handle_reduce(w, max_steps=None):
-    """Fully handle-reduce w; the result is empty iff w is the identity."""
+def handle_reduce(w, max_steps=10_000):
+    """Fully handle-reduce w; the result is empty iff w is the identity.
+
+    Handle reduction always ends, but it can take many steps on long words,
+    so more than ``max_steps`` reductions (10 000 by default; None for no
+    bound) raise RuntimeError.  The words of this package's checks need
+    fewer than 40."""
     w = list(free_reduce(w))
     steps = 0
     while True:

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from braidcensus import cohomology
 from braidcensus.cohomology import (
     _diag,
     all_coboundaries,
@@ -242,3 +243,108 @@ def test_h1_agrees_with_the_lattice_quotient():
         for r in (0, 1, 2, 3, 4, 6, 8, 12):
             assert h1_invariants(base, r) == _h1_by_lattice_quotient(base, r)
     assert time.monotonic() - start < 5.0
+
+
+def test_the_cocycle_check_fires(monkeypatch):
+    """A coboundary matrix whose first row is off by one breaks M B = 0."""
+
+    def broken(omega):
+        B = coboundary_matrix(omega)
+        B[0] = [x + 1 for x in B[0]]
+        return B
+
+    monkeypatch.setattr(cohomology, "coboundary_matrix", broken)
+    monkeypatch.setattr(cohomology, "_SMITH_PAIRS", {})
+    with pytest.raises(RuntimeError, match="coboundaries are not cocycles"):
+        h1_invariants(standard_hom(5), 3)
+
+
+def test_the_smith_pair_is_built_once_per_base(monkeypatch):
+    calls = []
+
+    def counted(omega):
+        calls.append(omega)
+        return cocycle_matrix(omega)
+
+    monkeypatch.setattr(cohomology, "cocycle_matrix", counted)
+    monkeypatch.setattr(cohomology, "_SMITH_PAIRS", {})
+    for base in (standard_hom(6), exceptional_hom_six(), standard_hom(6)):
+        for r in (0, 2, 3, 4, 5, 6, 8, 12):
+            h1_invariants(base, r)
+    # The second standard_hom(6) is a new object with the same images.
+    assert len(calls) == 2
+
+
+def _smith_normal_form_full_scan(M):
+    """The Smith form that scans the whole remaining submatrix for the least
+    pivot and sweeps for divisibility after every clean pivot; the oracle
+    for the diagonal of ``smith_normal_form``."""
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    A = [list(row) for row in M]
+    for d in range(min(rows, cols)):
+        while True:
+            pivot = None
+            for i in range(d, rows):
+                for j in range(d, cols):
+                    if A[i][j] and (
+                        pivot is None or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])
+                    ):
+                        pivot = (i, j)
+            if pivot is None:
+                break
+            i, j = pivot
+            A[d], A[i] = A[i], A[d]
+            for row in A:
+                row[d], row[j] = row[j], row[d]
+            if A[d][d] < 0:
+                A[d] = [-a for a in A[d]]
+            clean = True
+            for i in range(d + 1, rows):
+                if A[i][d]:
+                    c = A[i][d] // A[d][d]
+                    A[i] = [a - c * b for a, b in zip(A[i], A[d])]
+                    if A[i][d]:
+                        clean = False
+            for j in range(d + 1, cols):
+                if A[d][j]:
+                    c = A[d][j] // A[d][d]
+                    for row in A:
+                        row[j] -= c * row[d]
+                    if A[d][j]:
+                        clean = False
+            if clean:
+                off = False
+                for i in range(d + 1, rows):
+                    for j in range(d + 1, cols):
+                        if A[i][j] % A[d][d]:
+                            A[d] = [a + b for a, b in zip(A[d], A[i])]
+                            off = True
+                            break
+                    if off:
+                        break
+                if not off:
+                    break
+    return _diag(A)
+
+
+def test_smith_diagonal_agrees_with_the_full_scan():
+    bases = [standard_hom(n) for n in range(3, 11)]
+    bases += [five_strand_six_points(), exceptional_hom_six()]
+    bases += [
+        cyclic_hom(max(n + 1, 5), Permutation.from_cycles([tuple(range(1, n + 1))], n))
+        for n in range(2, 7)
+    ]
+    bases += doubled_standard_classes(3)
+    matrices = [f(base) for base in bases for f in (cocycle_matrix, coboundary_matrix)]
+    # No unit entry, so the pivot search falls back to the least |a|.
+    rng = random.Random(31)
+    for _ in range(200):
+        rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
+        matrices.append(
+            [[rng.choice((0, 2, -2, 3, -3, 4, -4, 6, -6)) for _ in range(cols)]
+             for _ in range(rows)]
+        )
+    for M in matrices:
+        if M:
+            assert _diag(smith_normal_form(M)[0]) == _smith_normal_form_full_scan(M)

@@ -34,6 +34,24 @@ def test_cycle_text_parsing_and_composition_convention():
     assert a * a == Permutation.identity(3)
 
 
+def test_public_construction_validates_and_products_are_trusted():
+    for bad in ([1, 1, 2], [0, 1, 2], [2, 3, 4]):
+        with pytest.raises(ValueError):
+            Permutation(bad)
+    with pytest.raises(ValueError):
+        Permutation.from_cycles("(1,4)", 3)
+    rng = random.Random(7)
+    sym = all_permutations(4)
+    for _ in range(30):
+        a, b = rng.choice(sym), rng.choice(sym)
+        # Products and inverses skip the check; they must pass it anyway.
+        for p in (a * b, a.inv()):
+            assert type(p.images) is tuple
+            assert p == Permutation(p.images)
+            assert hash(p) == hash(Permutation(p.images))
+        assert a * a.inv() == Permutation.identity(4)
+
+
 def test_inverse_power_and_conjugation():
     g = Permutation.from_cycles("(1,2,3,4,5)", 6)
     assert g * g.inv() == Permutation.identity(6)

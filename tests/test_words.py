@@ -1,5 +1,6 @@
 """Unit tests for braid words, the reduction oracle, and degree arithmetic."""
 
+import inspect
 import random
 
 import pytest
@@ -60,6 +61,17 @@ def test_reduction_oracle_agrees_with_the_symmetric_projection():
     for _ in range(50):
         w = tuple(rng.choice(letters) for _ in range(8))
         assert exponent_sum(handle_reduce(w)) == exponent_sum(w)
+
+
+def test_handle_reduction_stops_at_its_step_bound():
+    braid_relation = (1, 2, 1, -2, -1, -2)  # one handle step to the empty word
+    assert isinstance(
+        inspect.signature(handle_reduce).parameters["max_steps"].default, int
+    )
+    assert handle_reduce(braid_relation) == ()
+    assert handle_reduce(braid_relation, max_steps=1) == ()
+    with pytest.raises(RuntimeError, match="exceeded 0 steps"):
+        handle_reduce(braid_relation, max_steps=0)
 
 
 def test_full_cycle_and_band_projections():
