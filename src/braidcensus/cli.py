@@ -9,6 +9,7 @@ line on stderr with exit status 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -85,20 +86,24 @@ def _cmd_census_commutator(args):
     )
 
 
-_BASES = {
-    "standard": lambda n: homs.standard_hom(n),
-    "exceptional6": lambda n: homs.exceptional_hom_six(),
-    "fivesix": lambda n: homs.five_strand_six_points(),
+# The bases with a fixed point count, by name.
+_SIX_POINT_BASES = {
+    "exceptional6": homs.exceptional_hom_six,
+    "fivesix": homs.five_strand_six_points,
 }
 
 
 def _base_hom(name, n):
+    if name == "standard":
+        return homs.standard_hom(n)
     if name == "cyclic":
         return homs.cyclic_hom(
             max(n + 1, 5),
             Permutation.from_cycles([tuple(range(1, n + 1))], n),
         )
-    return _BASES[name](n)
+    if n != 6:
+        raise ValueError("this base acts on 6 points")
+    return _SIX_POINT_BASES[name]()
 
 
 def _cmd_cohomology(args):
@@ -283,7 +288,10 @@ def _cmd_verify(args):
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built on the first call and shared by every
+    later one: parsing leaves no state in it."""
     parser = _Parser(
         prog="braidcensus",
         description="Censuses and invariants of braid-group homomorphisms "

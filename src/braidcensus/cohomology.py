@@ -178,50 +178,38 @@ def split_hom(omega, r):
     )
 
 
-# Integer linear algebra: diagonalization with tracked transforms.
+# Integer linear algebra: the Smith diagonal.
 
 
 def smith_normal_form(M):
-    """Return (diag, U, V) with U*M*V diagonal, U and V unimodular.
+    """The Smith diagonal of the integer matrix M (a list of rows): the
+    min(rows, cols) diagonal entries of a Smith normal form U M V, with no
+    U and no V built (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.4.4).  The nonzero entries are positive, each divides the
+    next, and the zeros come last.
 
-    M is a list of rows; diag is returned as the full transformed matrix."""
+    The pivot is the first entry of least absolute value in the remaining
+    submatrix, row by row; its row and column are cleared by floor-quotient
+    multiples, and a clean pivot that does not divide some later entry
+    takes in that entry's row and is chosen again."""
     rows = len(M)
     cols = len(M[0]) if rows else 0
     A = [list(row) for row in M]
-    U = _identity_mat(rows)
-    V = _identity_mat(cols)
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, c):
-        A[i] = [a + c * b for a, b in zip(A[i], A[j])]
-        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
-
-    def add_col(i, j, c):
-        for row in A:
-            row[i] += c * row[j]
-        for row in V:
-            row[i] += c * row[j]
-
-    def negate_row(i):
-        A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
+    # Every row found zero is replaced by this one list, so later scans skip
+    # it at once.  No operation below writes a nonzero entry into a zero
+    # row, and column swaps only exchange its zeros.
+    zero = [0] * cols
 
     def least_entry(d):
         """The first entry of least absolute value in A[d:][d:], row by row,
         or None if all are zero.  A unit ends the scan: nothing is smaller."""
         pivot, least = None, 0
         for i in range(d, rows):
+            if A[i] is zero:
+                continue
             seg = A[i][d:]
             if not any(seg):
+                A[i] = zero
                 continue
             here = min(map(abs, filter(None, seg)))
             if not least or here < least:
@@ -234,9 +222,10 @@ def smith_normal_form(M):
     def mix_in_nondivisible(d):
         """Add to row d the first later row with an entry in a later column
         that A[d][d] does not divide; False if there is none."""
+        p = A[d][d]
         for i in range(d + 1, rows):
-            if any(a % A[d][d] for a in A[i][d + 1 :]):
-                add_row(d, i, 1)
+            if any(a % p for a in A[i][d + 1 :]):
+                A[d] = [a + b for a, b in zip(A[d], A[i])]
                 return True
         return False
 
@@ -247,65 +236,46 @@ def smith_normal_form(M):
                 break
             i, j = pivot
             if i != d:
-                swap_rows(d, i)
+                A[d], A[i] = A[i], A[d]
             if j != d:
-                swap_cols(d, j)
+                # Rows above d are zero from column d on.
+                for row in A[d:]:
+                    row[d], row[j] = row[j], row[d]
             if A[d][d] < 0:
-                negate_row(d)
+                A[d] = [-a for a in A[d]]
+            top = A[d]
+            p = top[d]
             clean = True
             for i in range(d + 1, rows):
-                if A[i][d]:
-                    add_row(i, d, -(A[i][d] // A[d][d]))
-                    if A[i][d]:
+                row = A[i]
+                if row[d]:
+                    c = row[d] // p
+                    A[i] = row = [a - c * b for a, b in zip(row, top)]
+                    if row[d]:
                         clean = False
+            # A column operation changes only the rows with an entry in
+            # column d: after a clean row sweep, row d alone.
+            live = [top] if clean else [row for row in A[d:] if row[d]]
             for j in range(d + 1, cols):
-                if A[d][j]:
-                    add_col(j, d, -(A[d][j] // A[d][d]))
-                    if A[d][j]:
+                if top[j]:
+                    c = top[j] // p
+                    for row in live:
+                        row[j] -= c * row[d]
+                    if top[j]:
                         clean = False
             # A pivot of 1 divides every entry, so it needs no sweep.
-            if clean and (A[d][d] == 1 or not mix_in_nondivisible(d)):
+            if clean and (p == 1 or not mix_in_nondivisible(d)):
                 break
-    return A, U, V
-
-
-def _diag(A):
-    return [A[i][i] for i in range(min(len(A), len(A[0]) if A else 0))]
-
-
-def kernel_lattice(M, r):
-    """Generators of the solution lattice of M x = 0 over Z/r (x integer,
-    congruences mod r; r = 0 means equality over Z).
-
-    Returns a list of integer column vectors spanning all solutions; for
-    r > 0 the lattice contains r times every unit vector."""
-    if not M:
-        raise ValueError("empty system")
-    cols = len(M[0])
-    D, _, V = smith_normal_form(M)
-    d = _diag(D)
-    gens = []
-    for j in range(cols):
-        dj = d[j] if j < len(d) else 0
-        if r == 0:
-            if dj != 0:
-                continue
-            scale = 1
-        else:
-            scale = r // math.gcd(dj, r) if dj else 1
-        gens.append([V[i][j] * scale for i in range(cols)])
-    return gens
+    return [A[i][i] for i in range(min(rows, cols))]
 
 
 def solution_count(M, r):
     """Number of solutions of M x = 0 over Z/r (r >= 2)."""
     if r < 2:
         raise ValueError("need r >= 2")
-    cols = len(M[0])
-    D, _, _ = smith_normal_form(M)
-    d = _diag(D)
+    d = smith_normal_form(M)
     count = 1
-    for j in range(cols):
+    for j in range(len(M[0])):
         dj = d[j] if j < len(d) else 0
         count *= math.gcd(dj, r) if dj else r
     return count
@@ -335,7 +305,7 @@ def _smith_pair(omega):
             if any(total.values()):
                 raise RuntimeError("coboundaries are not cocycles")
         pair = _SMITH_PAIRS[key] = tuple(
-            tuple(x for x in _diag(smith_normal_form(A)[0]) if x) for A in (M, B)
+            tuple(x for x in smith_normal_form(A) if x) for A in (M, B)
         )
     return pair
 
@@ -360,11 +330,11 @@ def h1_invariants(omega, r):
     orders = [x for x in orders if x != 1]
     # The Smith form of the diagonal merges coprime orders into invariant
     # factors, ascending by divisibility with the Z summands last.
-    D, _, _ = smith_normal_form(
+    merged = smith_normal_form(
         [[x if i == j else 0 for j in range(len(orders))]
          for i, x in enumerate(orders)]
     )
-    return [x for x in _diag(D) if x != 1]
+    return [x for x in merged if x != 1]
 
 
 def all_cocycles(omega, r):

@@ -1,10 +1,13 @@
 """Unit tests for the enumeration engine."""
 
 import itertools
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from braidcensus.census import census, select
+from braidcensus.census import CensusRecord, census, select
 from braidcensus.homs import (
     BraidHom,
     are_conjugate,
@@ -149,3 +152,16 @@ def test_record_serialization(census_cache):
 def test_census_rejects_too_few_strands():
     with pytest.raises(ValueError):
         census(2, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_census_record_json_round_trip(census_cache, data):
+    """A record's JSON rebuilds its map through ``BraidHom.from_json``, and
+    the rebuilt record writes the same JSON."""
+    k, n = data.draw(st.sampled_from([(3, 4), (3, 5), (4, 5), (3, 6), (5, 6), (6, 6)]))
+    record = data.draw(st.sampled_from(census_cache(k, n)))
+    payload = json.loads(json.dumps(record.to_json()))
+    hom = BraidHom.from_json(payload["hom"])
+    assert hom == record.hom
+    assert CensusRecord(hom, payload["orbit_size"]).to_json() == payload

@@ -142,17 +142,47 @@ def test_cohomology_of_the_two_strand_base(r, invariants):
     assert payload["invariants"] == invariants
 
 
-def test_importing_the_cli_leaves_numpy_unloaded():
+def _fresh_interpreter(*args):
+    """Stdout of ``python args...`` with this checkout's package on the path."""
     src = pathlib.Path(braidcensus.__file__).resolve().parent.parent
-    code = "import sys, braidcensus.cli; print('numpy' in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *args],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
         check=True,
     )
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    code = "import sys, braidcensus.cli; print('numpy' in sys.modules)"
+    assert _fresh_interpreter("-c", code).strip() == "False"
+
+
+def test_the_package_runs_as_a_module():
+    out = _fresh_interpreter("-m", "braidcensus", "cohomology", "standard", "5", "3")
+    assert out == (GOLDEN / "cohomology_standard_5_3.json").read_text()
+
+
+def test_one_parser_serves_consecutive_commands(capsys):
+    """Flags and defaults of one command do not leak into the next."""
+    cli.build_parser.cache_clear()
+    rc, out = _run(["census", "3", "5", "--transitive", "--noncyclic"])
+    assert rc == 0
+    assert out == (GOLDEN / "census_3_5_transitive_noncyclic.json").read_text()
+    rc, out = _run(["census", "3", "5"])
+    assert rc == 0
+    assert out == _fresh_interpreter("-m", "braidcensus", "census", "3", "5")
+    with pytest.raises(SystemExit) as exc:
+        _run(["census", "3", "5", "--transitive", "--workers", "0"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    rc, out = _run(["cohomology", "standard", "5", "3"])
+    assert rc == 0
+    assert out == (GOLDEN / "cohomology_standard_5_3.json").read_text()
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 def _three_strand_file(tmp_path):
@@ -171,6 +201,8 @@ def _three_strand_file(tmp_path):
         lambda tmp: ["hom", _three_strand_file(tmp), "--word", "[9]"],
         lambda tmp: ["cohomology", "standard", "1", "2"],
         lambda tmp: ["retract", _three_strand_file(tmp), "2"],
+        lambda tmp: ["cohomology", "exceptional6", "5", "2"],
+        lambda tmp: ["cohomology", "fivesix", "7", "2"],
     ],
     ids=[
         "census-n-0",
@@ -180,6 +212,8 @@ def _three_strand_file(tmp_path):
         "bad-letter",
         "one-point-base",
         "retract-three-strands",
+        "exceptional6-on-5-points",
+        "fivesix-on-7-points",
     ],
 )
 def test_bad_input_gets_one_line_and_status_2(argv, tmp_path, capsys):

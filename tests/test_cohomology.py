@@ -1,13 +1,16 @@
 """Unit tests for twisted one-cocycles and the integer linear algebra."""
 
+import itertools
+import math
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidcensus import cohomology
 from braidcensus.cohomology import (
-    _diag,
     all_coboundaries,
     all_cocycles,
     coboundary_matrix,
@@ -19,7 +22,6 @@ from braidcensus.cohomology import (
     h1_invariants,
     hom_from_cocycle,
     is_cocycle,
-    kernel_lattice,
     permute_coords,
     smith_normal_form,
     solution_count,
@@ -42,6 +44,110 @@ def test_coordinate_action():
     assert permute_coords(s, (10, 20, 30)) == (30, 10, 20)
 
 
+def _diag(A):
+    return [A[i][i] for i in range(min(len(A), len(A[0]) if A else 0))]
+
+
+def _smith_form_with_transforms(M):
+    """Return (D, U, V) with D = U*M*V diagonal, U and V unimodular: the
+    transform-tracking Smith form, with the pivot rule of
+    ``smith_normal_form``; the reference for its diagonal and the
+    elimination behind ``_kernel_lattice`` and ``_solve_all``."""
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    A = [list(row) for row in M]
+    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def swap_rows(i, j):
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for row in A + V:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(i, j, c):
+        A[i] = [a + c * b for a, b in zip(A[i], A[j])]
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+
+    def add_col(i, j, c):
+        for row in A + V:
+            row[i] += c * row[j]
+
+    def least_entry(d):
+        pivot, least = None, 0
+        for i in range(d, rows):
+            seg = A[i][d:]
+            if not any(seg):
+                continue
+            here = min(map(abs, filter(None, seg)))
+            if not least or here < least:
+                j = next(j for j, a in enumerate(seg, d) if abs(a) == here)
+                pivot, least = (i, j), here
+                if least == 1:
+                    return pivot
+        return pivot
+
+    def mix_in_nondivisible(d):
+        for i in range(d + 1, rows):
+            if any(a % A[d][d] for a in A[i][d + 1 :]):
+                add_row(d, i, 1)
+                return True
+        return False
+
+    for d in range(min(rows, cols)):
+        while True:
+            pivot = least_entry(d)
+            if pivot is None:
+                break
+            i, j = pivot
+            if i != d:
+                swap_rows(d, i)
+            if j != d:
+                swap_cols(d, j)
+            if A[d][d] < 0:
+                A[d] = [-a for a in A[d]]
+                U[d] = [-a for a in U[d]]
+            clean = True
+            for i in range(d + 1, rows):
+                if A[i][d]:
+                    add_row(i, d, -(A[i][d] // A[d][d]))
+                    if A[i][d]:
+                        clean = False
+            for j in range(d + 1, cols):
+                if A[d][j]:
+                    add_col(j, d, -(A[d][j] // A[d][d]))
+                    if A[d][j]:
+                        clean = False
+            if clean and (A[d][d] == 1 or not mix_in_nondivisible(d)):
+                break
+    return A, U, V
+
+
+def _kernel_lattice(M, r):
+    """Generators of the solution lattice of M x = 0 over Z/r (x integer,
+    congruences mod r; r = 0 means equality over Z): the columns of V,
+    scaled so that each solves its diagonal equation.  For r > 0 the
+    lattice contains r times every unit vector."""
+    if not M:
+        raise ValueError("empty system")
+    cols = len(M[0])
+    D, _, V = _smith_form_with_transforms(M)
+    d = _diag(D)
+    gens = []
+    for j in range(cols):
+        dj = d[j] if j < len(d) else 0
+        if r == 0:
+            if dj != 0:
+                continue
+            scale = 1
+        else:
+            scale = r // math.gcd(dj, r) if dj else 1
+        gens.append([V[i][j] * scale for i in range(cols)])
+    return gens
+
+
 def _det(M):
     n = len(M)
     if n == 1:
@@ -61,7 +167,7 @@ def test_smith_normal_form_properties():
         M = [
             [rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)
         ]
-        D, U, V = smith_normal_form(M)
+        D, U, V = _smith_form_with_transforms(M)
         assert abs(_det(U)) == 1
         assert abs(_det(V)) == 1
         # D = U * M * V
@@ -107,7 +213,7 @@ def test_kernel_lattice_and_solution_count_by_exhaustion():
             )
         ]
         assert solution_count(M, r) == len(brute)
-        gens = kernel_lattice(M, r)
+        gens = _kernel_lattice(M, r)
         spanned = {tuple(0 for _ in range(cols))}
         frontier = [tuple(0 for _ in range(cols))]
         while frontier:
@@ -121,8 +227,6 @@ def test_kernel_lattice_and_solution_count_by_exhaustion():
 
 
 def _vectors(cols, r):
-    import itertools
-
     return [list(v) for v in itertools.product(range(r), repeat=cols)]
 
 
@@ -190,7 +294,7 @@ def test_equality_mod():
 
 def _solve_all(M, rhs):
     """Integer x with M x = b for each b in rhs, through one Smith form."""
-    D, U, V = smith_normal_form(M)
+    D, U, V = _smith_form_with_transforms(M)
     d = _diag(D)
     out = []
     for b in rhs:
@@ -212,7 +316,7 @@ def _h1_by_lattice_quotient(omega, r):
     cols = (omega.k - 1) * omega.n
     unit = [[int(i == j) for i in range(cols)] for j in range(cols)]
     M = cocycle_matrix(omega)
-    L = kernel_lattice(M, r) if M else unit
+    L = _kernel_lattice(M, r) if M else unit
     if not L:
         return []
     B = coboundary_matrix(omega)
@@ -220,7 +324,9 @@ def _h1_by_lattice_quotient(omega, r):
     K += [[r * x for x in e] for e in unit] if r else []
     basis = [[g[i] for g in L] for i in range(cols)]
     X = _solve_all(basis, K)
-    D, _, _ = smith_normal_form([[x[i] for x in X] for i in range(len(L))])
+    D, _, _ = _smith_form_with_transforms(
+        [[x[i] for x in X] for i in range(len(L))]
+    )
     d = _diag(D)
     out = [abs(d[i]) if i < len(d) else 0 for i in range(len(L))]
     return sorted((v for v in out if v != 1), key=lambda v: (v == 0, v))
@@ -347,4 +453,31 @@ def test_smith_diagonal_agrees_with_the_full_scan():
         )
     for M in matrices:
         if M:
-            assert _diag(smith_normal_form(M)[0]) == _smith_normal_form_full_scan(M)
+            assert smith_normal_form(M) == _smith_normal_form_full_scan(M)
+
+
+def _mat_mul(X, Y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*Y)] for row in X]
+
+
+@st.composite
+def _small_matrices(draw):
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 5))
+    entry = st.integers(-9, 9)
+    return [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_matrices())
+def test_smith_diagonal_matches_the_transform_reference(M):
+    """The diagonal-only Smith form agrees with the transform-tracking
+    reference, and the reference is a unimodular diagonalization."""
+    D, U, V = _smith_form_with_transforms(M)
+    assert smith_normal_form(M) == _diag(D)
+    assert abs(_det(U)) == 1
+    assert abs(_det(V)) == 1
+    rows, cols = len(M), len(M[0])
+    assert _mat_mul(_mat_mul(U, M), V) == [
+        [D[i][i] if i == j else 0 for j in range(cols)] for i in range(rows)
+    ]

@@ -1,9 +1,12 @@
 """Unit tests for braid-group homomorphisms and the named catalog."""
 
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidcensus.homs import (
     BraidHom,
@@ -221,3 +224,34 @@ def test_remote_degree_example_validates():
     assert h.is_transitive()
     assert not h.is_cyclic()
     assert h.group().order() == 720
+
+
+_NAMED_HOMS = (
+    [standard_hom(k) for k in range(2, 7)]
+    + [standard_hom(4, 6), exceptional_hom_six(), five_strand_six_points()]
+    + [four_strand_five_points(), six_strand_ten_points()]
+    + four_strand_six_points()
+    + exceptional_homs_four()
+    + list(three_strand_catalog().values())
+    + doubled_standard_classes(3)
+)
+
+
+@st.composite
+def _braid_homs(draw):
+    """A named map conjugated by any permutation, or a cyclic map."""
+    if draw(st.booleans()):
+        h = draw(st.sampled_from(_NAMED_HOMS))
+        g = draw(st.permutations(range(1, h.n + 1)))
+        return h.conjugate(Permutation(g))
+    n = draw(st.integers(1, 7))
+    g = draw(st.permutations(range(1, n + 1)))
+    return cyclic_hom(draw(st.integers(2, 6)), Permutation(g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_braid_homs())
+def test_json_round_trip(h):
+    back = BraidHom.from_json(json.loads(json.dumps(h.to_json())))
+    assert back == h
+    assert back.to_json() == h.to_json()

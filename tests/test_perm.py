@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidcensus.perm import (
     CycleType,
@@ -306,3 +308,28 @@ def test_serialization_is_one_indexed():
     g = Permutation.from_cycles("(1,2)(3,4)", 4)
     assert g.to_json() == [2, 1, 4, 3]
     assert Permutation([2, 1, 4, 3]) == g
+
+
+@st.composite
+def _tuple_pairs(draw):
+    """Two tuples of permutations of one degree; half the time the second
+    is a conjugate of the first."""
+    n = draw(st.integers(1, 6))
+    perms = st.permutations(range(1, n + 1)).map(Permutation)
+    aa = tuple(draw(st.lists(perms, min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        g = draw(perms)
+        return aa, tuple(a.conj(g) for a in aa)
+    return aa, tuple(draw(perms) for _ in aa)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tuple_pairs())
+def test_tuple_conjugacy_is_symmetric(pair):
+    aa, bb = pair
+    forward = tuple_conjugacy_witness(aa, bb)
+    backward = tuple_conjugacy_witness(bb, aa)
+    assert (forward is None) == (backward is None)
+    if forward is not None:
+        assert all(a.conj(forward) == b for a, b in zip(aa, bb))
+        assert all(b.conj(backward) == a for a, b in zip(aa, bb))
