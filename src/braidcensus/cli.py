@@ -125,7 +125,10 @@ def _cmd_cohomology(args):
 
 def _read_hom(path):
     try:
-        with open(path) if path != "-" else sys.stdin as fh:
+        if path == "-":
+            # Read stdin without closing it: a later caller may need it.
+            return BraidHom.from_json(json.load(sys.stdin))
+        with open(path) as fh:
             return BraidHom.from_json(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InputError("cannot read a homomorphism from %s: %s" % (path, exc))

@@ -20,6 +20,7 @@ import math
 from .homs import BraidHom
 from .perm import Permutation
 from .retraction import block_projection, block_splitting
+from .words import braid_relations
 
 
 def permute_coords(s, h):
@@ -28,73 +29,44 @@ def permute_coords(s, h):
     return tuple(h[si(i + 1) - 1] for i in range(len(h)))
 
 
-def _action_matrix(s, t):
-    """Matrix of permute_coords(s, -) acting on column vectors."""
-    rows = []
-    si = s.inv()
-    for i in range(1, t + 1):
-        row = [0] * t
-        row[si(i) - 1] = 1
-        rows.append(row)
-    return rows
-
-
-def _mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _identity_mat(t):
-    return [[1 if i == j else 0 for j in range(t)] for i in range(t)]
-
-
 def cocycle_matrix(omega):
     """Integer matrix whose kernel (over the coefficients) is the cocycle set.
 
-    Unknowns are the m-1 generator vectors concatenated; rows express the
-    far commutations and the length-3 braidings of the generators."""
+    Unknowns are the m-1 generator vectors concatenated.  Each relation
+    lhs = rhs of ``words.braid_relations`` gives t rows, the Fox derivatives
+    of lhs minus those of rhs (Fox, Free differential calculus I, 1953): a
+    cocycle takes a word g_1...g_L to sum_j T_{g_1...g_(j-1)} z_{g_j}, where
+    T_s is ``permute_coords(s, -)``, so row i of letter j reads coordinate
+    prefix^-1(i) of z_{g_j}."""
     m, t = omega.k, omega.n
-    s = omega.sigma
-    Ts = [_action_matrix(g, t) for g in s]
-    I = _identity_mat(t)
+    # s^-1 on {0..t-1} for each generator image s.
+    inverses = [[y - 1 for y in s.inv().images] for s in omega.sigma]
     rows = []
-
-    def emit(blocks):
-        for i in range(t):
-            row = []
-            for blk in blocks:
-                row.extend(blk[i] if blk is not None else [0] * t)
-            rows.append(row)
-
-    for p in range(1, m - 1):
-        for q in range(p + 2, m):
-            blocks = [None] * (m - 1)
-            blocks[p - 1] = _mat_sub(Ts[q - 1], I)
-            blocks[q - 1] = _mat_sub(I, Ts[p - 1])
-            emit(blocks)
-    for p in range(1, m - 1):
-        spq = _action_matrix(omega.sigma[p - 1] * omega.sigma[p], t)
-        sqp = _action_matrix(omega.sigma[p] * omega.sigma[p - 1], t)
-        blocks = [None] * (m - 1)
-        blocks[p - 1] = _mat_add(_mat_sub(I, Ts[p]), spq)
-        blocks[p] = _mat_sub(_mat_sub(Ts[p - 1], I), sqp)
-        emit(blocks)
+    for lhs, rhs in braid_relations(m):
+        block = [[0] * ((m - 1) * t) for _ in range(t)]
+        for sign, w in ((1, lhs), (-1, rhs)):
+            prefix_inv = list(range(t))
+            for g in w:
+                col = (g - 1) * t
+                for row, x in zip(block, prefix_inv):
+                    row[col + x] += sign
+                # (prefix s)^-1 = s^-1 prefix^-1
+                prefix_inv = [inverses[g - 1][x] for x in prefix_inv]
+        rows += block
     return rows
 
 
 def coboundary_matrix(omega):
     """Columns generate the coboundaries: h goes to (T_p h - h) per generator."""
-    m, t = omega.k, omega.n
-    cols_of = []
-    for p in range(m - 1):
-        cols_of.append(_mat_sub(_action_matrix(omega.sigma[p], t), _identity_mat(t)))
+    t = omega.n
     rows = []
-    for p in range(m - 1):
-        for i in range(t):
-            rows.append(cols_of[p][i])
+    for s in omega.sigma:
+        s_inv = s.inv()
+        for i in range(1, t + 1):
+            row = [0] * t
+            row[s_inv(i) - 1] += 1
+            row[i - 1] -= 1
+            rows.append(row)
     return rows
 
 

@@ -13,6 +13,8 @@ w = u c_1 u^-1, which turns the others into relators in u alone, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 from .census import census
 from .homs import are_conjugate  # noqa: F401  (re-exported)
@@ -23,6 +25,7 @@ from .perm import (
     conjugation_orbits,
     relator_solutions,
 )
+from .words import braid_relations, inverse
 
 
 def generator_words(k):
@@ -108,39 +111,48 @@ class CommutatorHom:
         )
 
 
-def _relations_report(k, u, v, w, c):
-    """Check the defining relations; returns (ok, first failing name)."""
-    c1 = c[0]
-    checks = [
-        ("u c1 u^-1 = w", u * c1 * u.inv() == w),
-        ("u w u^-1 = w^2 c1^-1 w", u * w * u.inv() == w * w * c1.inv() * w),
-        ("v c1 v^-1 = c1^-1 w", v * c1 * v.inv() == c1.inv() * w),
+def _relations(k):
+    """The defining relations of the commutator subgroup on k strands
+    (Gorin and Lin, Mat. Sb. 1969) as (name, lhs, rhs).  The words are
+    signed letters in the order of ``CommutatorHom.images``: 1, 2, 3 for u,
+    v, w and 3 + i for c_i.  The chain c_1..c_{k-3} satisfies the braid
+    relations of k-2 strands."""
+    rels = [
+        ("u c1 u^-1 = w", (1, 4, -1), (3,)),
+        ("u w u^-1 = w^2 c1^-1 w", (1, 3, -1), (3, 3, -4, 3)),
+        ("v c1 v^-1 = c1^-1 w", (2, 4, -2), (-4, 3)),
         (
             "v w v^-1 = (c1^-1 w)^3 c1^-2 w",
-            v * w * v.inv() == (c1.inv() * w) ** 3 * c1.inv() ** 2 * w,
+            (2, 3, -2),
+            (-4, 3) * 3 + (-4, -4, 3),
         ),
     ]
     for i in range(2, k - 2):
-        ci = c[i - 1]
-        checks.append(("u c%d = c%d v" % (i, i), u * ci == ci * v))
-        checks.append(
-            ("v c%d = c%d u^-1 v" % (i, i), v * ci == ci * u.inv() * v)
+        rels.append(("u c%d = c%d v" % (i, i), (1, 3 + i), (3 + i, 2)))
+        rels.append(("v c%d = c%d u^-1 v" % (i, i), (2, 3 + i), (3 + i, -1, 2)))
+    for lhs, rhs in braid_relations(k - 2):
+        if len(lhs) == 2:
+            # Named c_p c_q = c_q c_p for p < q, so the sides swap.
+            lhs, rhs = rhs, lhs
+            name = "c%d c%d = c%d c%d" % (lhs + rhs)
+        else:
+            name = "chain braiding at %d" % lhs[0]
+        rels.append((name, tuple(3 + g for g in lhs), tuple(3 + g for g in rhs)))
+    return rels
+
+
+def _relations_report(k, u, v, w, c):
+    """Check the defining relations; returns (ok, first failing name)."""
+    images = (u, v, w) + tuple(c)
+    inverses = [g.inv() for g in images]
+
+    def value(word):
+        return reduce(
+            mul, [images[g - 1] if g > 0 else inverses[-g - 1] for g in word]
         )
-    for i in range(1, k - 2):
-        for j in range(i + 2, k - 2):
-            checks.append(
-                (
-                    "c%d c%d = c%d c%d" % (i, j, j, i),
-                    c[i - 1] * c[j - 1] == c[j - 1] * c[i - 1],
-                )
-            )
-    for i in range(1, k - 3):
-        a, b = c[i - 1], c[i]
-        checks.append(
-            ("chain braiding at %d" % i, a * b * a == b * a * b)
-        )
-    for name, ok in checks:
-        if not ok:
+
+    for name, lhs, rhs in _relations(k):
+        if value(lhs) != value(rhs):
             return False, name
     return True, ""
 
@@ -190,7 +202,7 @@ def restrict_braid_hom(hom):
 
 
 def _u_relators(c):
-    """The relations of ``_relations_report`` that involve u, v or w, with
+    """The relations of ``_relations`` that involve u, v or w, with
     v = c2^-1 u c2 and w = u c1 u^-1 substituted: relator words in u alone
     for ``perm.relator_solutions``, where None stands for u.  The relations
     that the substitution makes hold outright reduce to empty words."""
@@ -200,19 +212,21 @@ def _u_relators(c):
 
     u = ((None, 1),)
     c1, c2 = ((c[0], 1),), ((c[1], 1),)
-    v = inv(c2) + u + c2
-    w = u + c1 + inv(u)
-    c1w = inv(c1) + w
-    rels = [
-        (u + c1 + inv(u), w),
-        (u + w + inv(u), w + w + inv(c1) + w),
-        (v + c1 + inv(v), c1w),
-        (v + w + inv(v), c1w * 3 + inv(c1) * 2 + w),
+    letters = [u, inv(c2) + u + c2, u + c1 + inv(u)] + [((ci, 1),) for ci in c]
+    sub = {}
+    for g, word in enumerate(letters, 1):
+        sub[g], sub[-g] = word, inv(word)
+    return [
+        tuple(x for g in lhs + inverse(rhs) for x in sub[g])
+        for _, lhs, rhs in _relations(len(c) + 3)
+        if any(abs(g) <= 3 for g in lhs + rhs)
     ]
-    for ci in c[1:]:
-        ci = ((ci, 1),)
-        rels += [(u + ci, ci + v), (v + ci, ci + inv(u) + v)]
-    return [lhs + inv(rhs) for lhs, rhs in rels]
+
+
+def _forced_vw(u, c):
+    """The v- and w-images that the u-image forces on the chain images c:
+    v = c2^-1 u c2 and w = u c1 u^-1."""
+    return c[1].inv() * u * c[1], u * c[0] * u.inv()
 
 
 def commutator_census(k, n):
@@ -233,12 +247,9 @@ def commutator_census(k, n):
     by_c1 = {}
     for rec in census(k - 2, n):
         chain = rec.hom.sigma
-        c1, c2 = chain[0], chain[1]
-        pool = by_c1.setdefault(c1, [])
+        pool = by_c1.setdefault(chain[0], [])
         for u in relator_solutions(n, _u_relators(chain)):
-            v = c2.inv() * u * c2
-            w = u * c1 * u.inv()
-            if not _relations_report(k, u, v, w, chain)[0]:
+            if not _relations_report(k, u, *_forced_vw(u, chain), chain)[0]:
                 raise RuntimeError("relator search found an invalid u-image")
             pool.append(chain[1:] + (u,))
     out = []
@@ -249,7 +260,5 @@ def commutator_census(k, n):
         for rep, _ in conjugation_orbits(by_c1[c1], gens):
             chain = (c1,) + rep[:-1]
             u = rep[-1]
-            v = chain[1].inv() * u * chain[1]
-            w = u * c1 * u.inv()
-            out.append(CommutatorHom(k, n, u, v, w, chain))
+            out.append(CommutatorHom(k, n, u, *_forced_vw(u, chain), chain))
     return out

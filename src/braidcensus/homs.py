@@ -8,6 +8,8 @@ checked on construction unless explicitly deferred.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 from .perm import (
     GeneratedGroup,
@@ -15,7 +17,7 @@ from .perm import (
     disjoint_product,
     tuple_conjugacy_witness,
 )
-from .words import perm_image
+from .words import braid_relations, perm_image
 
 
 @dataclass(frozen=True)
@@ -38,14 +40,11 @@ class BraidHom:
 
     def satisfies_relations(self):
         s = self.sigma
-        for i in range(len(s)):
-            for j in range(i + 2, len(s)):
-                if s[i] * s[j] != s[j] * s[i]:
-                    return False
-        for i in range(len(s) - 1):
-            if s[i] * s[i + 1] * s[i] != s[i + 1] * s[i] * s[i + 1]:
-                return False
-        return True
+
+        def image(w):
+            return reduce(mul, [s[x - 1] for x in w])
+
+        return all(image(lhs) == image(rhs) for lhs, rhs in braid_relations(self.k))
 
     def __call__(self, w):
         return perm_image(w, self.sigma)

@@ -9,6 +9,7 @@ with that choice.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -134,10 +135,7 @@ class Permutation:
         return CycleType(len(c) for c in self.cycles())
 
     def order(self):
-        o = 1
-        for c in self.cycles():
-            o = _lcm(o, len(c))
-        return o
+        return math.lcm(*map(len, self.cycles()))
 
     def support(self):
         return frozenset(x for x in range(1, self.degree + 1) if self(x) != x)
@@ -182,12 +180,6 @@ class Permutation:
         return list(self.images)
 
 
-def _lcm(a, b):
-    import math
-
-    return a * b // math.gcd(a, b) if a and b else max(a, b)
-
-
 class CycleType(tuple):
     """Multiset of cycle lengths >= 2, sorted descending."""
 
@@ -198,10 +190,7 @@ class CycleType(tuple):
         return super().__new__(cls, parts)
 
     def order(self):
-        o = 1
-        for p in self:
-            o = _lcm(o, p)
-        return o
+        return math.lcm(*self)
 
 
 @dataclass(frozen=True)
@@ -463,22 +452,12 @@ class GeneratedGroup:
 
     def orbits(self):
         parent = list(range(self.degree + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for g in self.generators:
             for x in range(1, self.degree + 1):
-                rx, ry = find(x), find(g(x))
+                rx, ry = _find(parent, x), _find(parent, g(x))
                 if rx != ry:
                     parent[ry] = rx
-        groups = {}
-        for x in range(1, self.degree + 1):
-            groups.setdefault(find(x), []).append(x)
-        return sorted((tuple(v) for v in groups.values()), key=lambda o: o[0])
+        return _classes(parent)
 
     def is_transitive(self):
         return len(self.orbits()) == 1
@@ -502,62 +481,52 @@ class GeneratedGroup:
     def order(self):
         return len(self.elements())
 
-    def minimal_blocks(self):
-        """A nontrivial block system if one exists, else None (primitive).
+    def is_primitive(self):
+        """Whether the group, which must be transitive, preserves no block
+        system other than the points and the whole set.
 
-        Standard minimal-block algorithm: for each w > 1, the finest block
-        system in which 1 and w share a block; the smallest nontrivial
-        system found is returned.
-        """
+        For each w > 1 this builds the finest invariant partition in which
+        1 and w share a block: join 1 and w, then join g(a) and g(b) for
+        every joined pair (a, b) and generator g.  The group is imprimitive
+        as soon as such a partition has more than one block."""
         if not self.is_transitive():
             raise ValueError("group must be transitive")
         n = self.degree
-        best = None
         for w in range(2, n + 1):
             parent = list(range(n + 1))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            def union(x, y):
-                rx, ry = find(x), find(y)
-                if rx == ry:
-                    return False
-                parent[ry] = rx
-                return True
-
-            union(1, w)
-            changed = True
-            while changed:
-                changed = False
+            parent[w] = 1
+            joined = [(1, w)]
+            while joined:
+                a, b = joined.pop()
                 for g in self.generators:
-                    reps = {}
-                    for x in range(1, n + 1):
-                        r = find(x)
-                        gr = find(g(x))
-                        if r in reps:
-                            if union(reps[r], gr):
-                                changed = True
-                        else:
-                            reps[r] = gr
-            blocks = {}
-            for x in range(1, n + 1):
-                blocks.setdefault(find(x), []).append(x)
-            system = sorted(tuple(sorted(b)) for b in blocks.values())
-            size = len(system[0])
-            if 1 < size < n and (best is None or size < len(best[0])):
+                    ra, rb = _find(parent, g(a)), _find(parent, g(b))
+                    if ra != rb:
+                        parent[rb] = ra
+                        joined.append((g(a), g(b)))
+            system = {frozenset(b) for b in _classes(parent)}
+            if len(system) > 1:
                 for g in self.generators:
-                    for b in system:
-                        if tuple(sorted(g(x) for x in b)) not in system:
-                            raise RuntimeError("block system is not invariant")
-                best = system
-        return best
+                    if any(frozenset(map(g, b)) not in system for b in system):
+                        raise RuntimeError("block system is not invariant")
+                return False
+        return True
 
-    def is_primitive(self):
-        return self.minimal_blocks() is None
+
+def _find(parent, x):
+    """The root of x in the union-find forest ``parent``, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _classes(parent):
+    """The classes of the union-find forest on 1..len(parent)-1, each in
+    increasing order, sorted by least point."""
+    groups = {}
+    for x in range(1, len(parent)):
+        groups.setdefault(_find(parent, x), []).append(x)
+    return sorted((tuple(v) for v in groups.values()), key=lambda o: o[0])
 
 
 def invariant_subsets(p, r):

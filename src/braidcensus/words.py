@@ -44,6 +44,14 @@ def exponent_sum(w):
     return sum(1 if x > 0 else -1 for x in w)
 
 
+def braid_relations(k):
+    """The Artin relations of the k-strand braid group as (lhs, rhs) pairs
+    of positive words: the far commutations s_q s_p = s_p s_q for
+    q > p + 1, then the braidings s_p s_{p+1} s_p = s_{p+1} s_p s_{p+1}."""
+    far = [((q, p), (p, q)) for p in range(1, k - 1) for q in range(p + 2, k)]
+    return far + [((p, p + 1, p), (p + 1, p, p + 1)) for p in range(1, k - 1)]
+
+
 def free_reduce(w):
     out = []
     for x in w:

@@ -227,6 +227,15 @@ def test_bad_input_gets_one_line_and_status_2(argv, tmp_path, capsys):
     assert "error:" in lines[0]
 
 
+def test_a_hom_read_from_stdin_leaves_stdin_open(monkeypatch):
+    stdin = io.StringIO(pathlib.Path(HOM_FILE).read_text())
+    monkeypatch.setattr(sys, "stdin", stdin)
+    rc, out = _run(["hom", "-", "--word", "[1,2,3,4]"])
+    assert rc == 0
+    assert out == (GOLDEN / "hom_fivesix_word.json").read_text()
+    assert not stdin.closed
+
+
 def test_workers_are_clamped_to_the_cpu_count(monkeypatch):
     started = []
 

@@ -29,6 +29,7 @@ from braidcensus.cohomology import (
     standard_base_cocycle,
 )
 from braidcensus.homs import (
+    BraidHom,
     cyclic_hom,
     doubled_standard_classes,
     exceptional_hom_six,
@@ -242,6 +243,37 @@ def test_cocycle_predicate_and_coboundaries():
         d = coboundary_of(base, r, h)
         assert is_cocycle(base, r, d)
         assert cohomologous(base, r, d, [(0,) * 4] * 3)
+
+
+def test_the_cocycle_matrix_kernel_is_the_cocycle_set():
+    """all_cocycles reads the kernel of the cocycle matrix; is_cocycle
+    builds the block homomorphism and checks the braid relations on it.
+
+    On bases whose images are involutions or all equal, a matrix built
+    with T_s^-1 in place of T_s has the same kernel; the 4-cycle base on
+    three strands tells the two apart."""
+    four_cycles = BraidHom(
+        3,
+        4,
+        (
+            Permutation.from_cycles("(1,2,3,4)", 4),
+            Permutation.from_cycles("(1,4,2,3)", 4),
+        ),
+    )
+    for base, r in [
+        (standard_hom(3), 3),
+        (standard_hom(4), 2),
+        (cyclic_hom(5, Permutation.from_cycles("(1,2,3)", 3)), 2),
+        (four_cycles, 2),
+    ]:
+        m, t = base.k, base.n
+        expected = []
+        for flat in itertools.product(range(r), repeat=(m - 1) * t):
+            z = [flat[p * t : (p + 1) * t] for p in range(m - 1)]
+            if is_cocycle(base, r, z):
+                expected.append(z)
+        assert all_cocycles(base, r) == expected
+        assert 1 < len(expected) < r ** ((m - 1) * t)
 
 
 def test_cohomology_counts_match_exhaustion():

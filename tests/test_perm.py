@@ -170,6 +170,50 @@ def test_generated_group_orbits_order_and_primitivity():
     ]
 
 
+def _equal_block_partitions(points, d):
+    """Every partition of the points into blocks of size d."""
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for others in itertools.combinations(rest, d - 1):
+        block = frozenset((first,) + others)
+        left = [x for x in rest if x not in block]
+        for tail in _equal_block_partitions(left, d):
+            yield [block] + tail
+
+
+def _has_block_system(n, gens):
+    """Brute force: a partition of 1..n into equal blocks of a size d,
+    1 < d < n, that every generator maps onto itself."""
+    for d in range(2, n):
+        if n % d:
+            continue
+        for system in _equal_block_partitions(list(range(1, n + 1)), d):
+            blocks = set(system)
+            if all(frozenset(map(g, b)) in blocks for g in gens for b in system):
+                return True
+    return False
+
+
+def test_primitivity_agrees_with_a_search_for_block_systems():
+    rng = random.Random(23)
+    outcomes = []
+    for n in range(1, 7):
+        sym = all_permutations(n)
+        for a in conjugacy_class_representatives(n):
+            for b in rng.sample(sym, min(len(sym), 40)):
+                g = GeneratedGroup(n, (a, b))
+                if not g.is_transitive():
+                    with pytest.raises(ValueError):
+                        g.is_primitive()
+                    continue
+                primitive = g.is_primitive()
+                assert primitive == (not _has_block_system(n, (a, b))), (a, b)
+                outcomes.append(primitive)
+    assert outcomes.count(True) > 100 and outcomes.count(False) > 50
+
+
 def test_transposition_in_primitive_transitive_group_forces_everything():
     # Jordan's criterion, spot-checked by explicit closure at small degree.
     for n in (4, 5, 6, 7):

@@ -11,6 +11,7 @@ from braidcensus.words import (
     band_beta_word,
     band_word,
     beta_word,
+    braid_relations,
     cable_hom,
     commutator,
     conjugate,
@@ -47,6 +48,22 @@ def test_reduction_oracle_decides_the_braid_relations():
     assert not is_trivial((1, 2, -1, -2))
     assert not is_trivial((1,))
     assert words_equal((1, 2, 1), (2, 1, 2))
+
+
+def test_braid_relations_list_each_artin_relation_once():
+    for k in range(2, 9):
+        rels = braid_relations(k)
+        far = [(lhs, rhs) for lhs, rhs in rels if len(lhs) == 2]
+        # The far commutations come first, written s_q s_p = s_p s_q.
+        assert rels[: len(far)] == far
+        assert all(lhs[0] > lhs[1] + 1 and rhs == lhs[::-1] for lhs, rhs in far)
+        assert sorted(rhs for _, rhs in far) == [
+            (i, j) for i in range(1, k) for j in range(i + 2, k)
+        ]
+        assert rels[len(far) :] == [
+            ((i, i + 1, i), (i + 1, i, i + 1)) for i in range(1, k - 1)
+        ]
+        assert all(words_equal(lhs, rhs) for lhs, rhs in rels)
 
 
 def test_reduction_oracle_agrees_with_the_symmetric_projection():
