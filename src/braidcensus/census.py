@@ -105,8 +105,10 @@ def census(k, n, workers=1):
         (k, n, tuple(p for p in parts if p >= 2)) for parts in all_partitions(n)
     ]
     if workers > 1:
+        # One cycle type per task: the slowest cycle types come last, and
+        # default chunks would hand them all to one worker.
         with multiprocessing.Pool(workers) as pool:
-            chunks = pool.map(_census_one_class, tasks)
+            chunks = pool.map(_census_one_class, tasks, chunksize=1)
     else:
         chunks = [_census_one_class(t) for t in tasks]
     records = []

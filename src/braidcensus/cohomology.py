@@ -18,8 +18,7 @@ import itertools
 import math
 
 from .homs import BraidHom
-from .perm import Permutation
-from .retraction import block_projection, block_splitting
+from .retraction import block_map, block_projection
 from .words import braid_relations
 
 
@@ -101,20 +100,9 @@ def hom_from_cocycle(omega, r, z):
         raise ValueError("need a finite block size r >= 2")
     if len(z) != m - 1 or any(len(v) != t for v in z):
         raise ValueError("cocycle shape mismatch")
-    images = []
-    for p in range(m - 1):
-        s = omega.sigma[p]
-        h = z[p]
-        pts = [0] * (r * t)
-        for blk in range(1, t + 1):
-            target = s(blk)
-            shift = h[target - 1] % r
-            for q in range(1, r + 1):
-                pts[(blk - 1) * r + q - 1] = (
-                    (target - 1) * r + (q - 1 + shift) % r + 1
-                )
-        images.append(Permutation(pts))
-    return BraidHom(m, r * t, tuple(images))
+    return BraidHom(
+        m, r * t, tuple(block_map(s, r, h) for s, h in zip(omega.sigma, z))
+    )
 
 
 def cocycle_from_hom(omega, r, hom):
@@ -123,30 +111,25 @@ def cocycle_from_hom(omega, r, hom):
     if hom.k != m or hom.n != r * t:
         raise ValueError("homomorphism shape mismatch")
     z = []
-    for p in range(m - 1):
-        g = hom.sigma[p]
+    for g, base in zip(hom.sigma, omega.sigma):
         s = block_projection(g, r, t)
-        if s != omega.sigma[p]:
+        if s != base:
             raise ValueError("block action does not match the base homomorphism")
+        # The first point of a block lands at the block's rotation.
         h = [0] * t
         for blk in range(1, t + 1):
-            target = s(blk)
-            shift = (g((blk - 1) * r + 1) - ((target - 1) * r + 1)) % r
-            for q in range(1, r + 1):
-                expected = (target - 1) * r + (q - 1 + shift) % r + 1
-                if g((blk - 1) * r + q) != expected:
-                    raise ValueError("a block is not moved by a rotation")
-            h[target - 1] = shift
+            h[s(blk) - 1] = (g((blk - 1) * r + 1) - 1) % r
+        if g != block_map(s, r, h):
+            raise ValueError("a block is not moved by a rotation")
         z.append(tuple(h))
     return z
 
 
 def split_hom(omega, r):
     """The rotation-free block homomorphism: each block moves rigidly."""
+    zero = (0,) * omega.n
     return BraidHom(
-        omega.k,
-        r * omega.n,
-        tuple(block_splitting(s, r) for s in omega.sigma),
+        omega.k, r * omega.n, tuple(block_map(s, r, zero) for s in omega.sigma)
     )
 
 
@@ -338,14 +321,10 @@ def cocycles_equal_mod(z1, z2, r):
 
 def cohomologous(omega, r, z1, z2):
     """Whether two cocycles differ by a coboundary (exhaustive in h)."""
-    for flat in itertools.product(range(r), repeat=omega.n):
-        d = coboundary_of(omega, r, flat)
-        if all(
-            all((a - b - c) % r == 0 for a, b, c in zip(v1, v2, vd))
-            for v1, v2, vd in zip(z1, z2, d)
-        ):
-            return True
-    return False
+    diff = [
+        tuple((a - b) % r for a, b in zip(v1, v2)) for v1, v2 in zip(z1, z2)
+    ]
+    return diff in all_coboundaries(omega, r)
 
 
 # Canonical cocycles for the distinguished base homomorphisms.

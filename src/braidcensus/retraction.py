@@ -4,8 +4,9 @@ Fix a homomorphism on k strands and a cycle length r.  The r-cycles of
 the first generator image span a set that every generator image far from
 the first permutes, inducing permutations of the cycle labels.  This
 yields a homomorphism of the braid group on k-2 strands into S(t), where
-t is the number of r-cycles, together with a block-structure splitting
-used by the cohomological classification of its lifts.
+t is the number of r-cycles, together with the block map that lifts a
+permutation of t labels to r-point blocks, used by the cohomological
+classification of its lifts.
 """
 
 from __future__ import annotations
@@ -22,19 +23,10 @@ def normalize(hom, r):
     comp = r_component(hom.sigma[0], r)
     if comp.t == 0:
         raise ValueError("first generator image has no %d-cycles" % r)
-    cycles = sorted(comp.cycles, key=min)
-    images = [0] * hom.n
-    for m, cyc in enumerate(cycles):
-        start = min(cyc)
-        i = cyc.index(start)
-        ordered = cyc[i:] + cyc[:i]
-        for q, x in enumerate(ordered, start=1):
-            images[x - 1] = (m * r) + q
-    rest = sorted(x for x in range(1, hom.n + 1) if images[x - 1] == 0)
-    for offset, x in enumerate(rest, start=len(cycles) * r + 1):
-        images[x - 1] = offset
-    g = Permutation(images)
-    return hom.conjugate(g), comp.t
+    # cycles() lists each cycle from its least point, by least point.
+    order = [x for cyc in comp.cycles for x in cyc]
+    order += sorted(set(range(1, hom.n + 1)) - comp.support)
+    return hom.conjugate(Permutation(order).inv()), comp.t
 
 
 def cycle_label_action(x, cycles):
@@ -56,7 +48,7 @@ def cycle_label_action(x, cycles):
 def _labeled_cycles(hom, r, q):
     """The r-cycles of the q-th generator image, labeled by conjugating the
     first generator's cycles (ordered by least point) with the full cycle."""
-    base = sorted(r_component(hom.sigma[0], r).cycles, key=min)
+    base = r_component(hom.sigma[0], r).cycles
     n = hom.n
     conj = hom.alpha() ** (q - 1)
     return [
@@ -72,9 +64,9 @@ def label_image(hom, r, q, j):
     return cycle_label_action(hom.sigma[j - 1], _labeled_cycles(hom, r, q))
 
 
-def omega(hom, r):
-    """The retracted homomorphism on k-2 strands: generator i acts on the
-    labels of the first generator's r-cycles through generator i+2."""
+def _retraction(hom, r, q, offset):
+    """Generator i of the k-2 strand retraction acts on the labels of the
+    r-cycles of generator q through generator i + offset."""
     k = hom.k
     if k < 4:
         raise ValueError("need at least four strands")
@@ -82,21 +74,19 @@ def omega(hom, r):
     if t == 0:
         raise ValueError("first generator image has no %d-cycles" % r)
     return BraidHom(
-        k - 2, t, tuple(label_image(hom, r, 1, i + 2) for i in range(1, k - 2))
+        k - 2, t, tuple(label_image(hom, r, q, i + offset) for i in range(1, k - 2))
     )
+
+
+def omega(hom, r):
+    """The retracted homomorphism on k-2 strands: generator i acts on the
+    labels of the first generator's r-cycles through generator i+2."""
+    return _retraction(hom, r, 1, 2)
 
 
 def omega_star(hom, r):
     """The retraction computed at the last generator instead of the first."""
-    k = hom.k
-    if k < 4:
-        raise ValueError("need at least four strands")
-    t = r_component(hom.sigma[0], r).t
-    if t == 0:
-        raise ValueError("first generator image has no %d-cycles" % r)
-    return BraidHom(
-        k - 2, t, tuple(label_image(hom, r, k - 1, i) for i in range(1, k - 2))
-    )
+    return _retraction(hom, r, hom.k - 1, 0)
 
 
 def block_projection(p, r, t):
@@ -113,14 +103,15 @@ def block_projection(p, r, t):
     return Permutation(images)
 
 
-def block_splitting(s, r):
-    """Lift a permutation of t block labels to {1..rt}, moving blocks rigidly:
-    (m-1)r + q goes to (s(m)-1)r + q."""
-    t = s.degree
-    images = [0] * (r * t)
-    for m in range(1, t + 1):
-        for q in range(1, r + 1):
-            images[(m - 1) * r + q - 1] = (s(m) - 1) * r + q
+def block_map(s, r, h):
+    """Lift a permutation s of t block labels to {1..rt}.  Block m holds the
+    points (m-1)r+1..mr and goes onto block s(m), rotated by h[s(m)-1]:
+    (m-1)r + q goes to (s(m)-1)r + ((q-1 + h[s(m)-1]) mod r) + 1."""
+    images = []
+    for m in range(1, s.degree + 1):
+        target = s(m)
+        shift = h[target - 1]
+        images += [(target - 1) * r + (q + shift) % r + 1 for q in range(r)]
     return Permutation(images)
 
 
@@ -156,20 +147,21 @@ def label_table_report(hom, r):
             for i in range(k - 3)
         ),
     }
-    firsts = True
-    for q in range(1, k - 2):
-        for j in range(q + 2, k):
-            if label_image(normed, r, q, j) != om_star.sigma[j - q - 1 - 1]:
-                firsts = False
-    report["shift_to_last"] = firsts
-    lasts = True
-    for q in range(3, k):
-        for j in range(1, q - 1):
-            if label_image(normed, r, q, j) != label_image(
-                normed, r, 1, j + k - q + 1
-            ):
-                lasts = False
-    report["shift_to_first"] = lasts
+    # Every label image is built, so a table that cannot be built raises.
+    report["shift_to_last"] = all(
+        [
+            label_image(normed, r, q, j) == om_star.sigma[j - q - 2]
+            for q in range(1, k - 2)
+            for j in range(q + 2, k)
+        ]
+    )
+    report["shift_to_first"] = all(
+        [
+            label_image(normed, r, q, j) == om.sigma[j + k - q - 2]
+            for q in range(3, k)
+            for j in range(1, q - 1)
+        ]
+    )
     return report
 
 

@@ -83,9 +83,8 @@ def handle_reduce(w, max_steps=10_000):
     """Fully handle-reduce w; the result is empty iff w is the identity.
 
     Handle reduction always ends, but it can take many steps on long words,
-    so more than ``max_steps`` reductions (10 000 by default; None for no
-    bound) raise RuntimeError.  The words of this package's checks need
-    fewer than 40."""
+    so more than ``max_steps`` reductions (10 000 by default) raise
+    RuntimeError.  The words of this package's checks need fewer than 40."""
     w = list(free_reduce(w))
     steps = 0
     while True:
@@ -104,7 +103,7 @@ def handle_reduce(w, max_steps=10_000):
                 replacement.append(x)
         w = list(free_reduce(w[:p] + replacement + w[q + 1 :]))
         steps += 1
-        if max_steps is not None and steps > max_steps:
+        if steps > max_steps:
             raise RuntimeError("handle reduction exceeded %d steps" % max_steps)
 
 

@@ -238,9 +238,11 @@ def test_a_hom_read_from_stdin_leaves_stdin_open(monkeypatch):
 
 def test_workers_are_clamped_to_the_cpu_count(monkeypatch):
     started = []
+    chunksizes = []
 
     class InlinePool:
-        """Records the requested process count and maps in this process."""
+        """Records the requested process count and chunk size and maps in
+        this process."""
 
         def __init__(self, processes):
             started.append(processes)
@@ -251,7 +253,8 @@ def test_workers_are_clamped_to_the_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=None):
+            chunksizes.append(chunksize)
             return [fn(x) for x in items]
 
     monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
@@ -259,4 +262,5 @@ def test_workers_are_clamped_to_the_cpu_count(monkeypatch):
     rc, out = _run(["census", "3", "5", "--workers", "64"])
     assert rc == 0
     assert started == [3]
+    assert chunksizes == [1]
     assert out == _run(["census", "3", "5"])[1]

@@ -300,6 +300,21 @@ def test_split_hom_has_zero_cocycle():
     z = cocycle_from_hom(base, 3, split)
     assert all(all(v == 0 for v in vec) for vec in z)
     assert hom_from_cocycle(base, 3, z).sigma == split.sigma
+    # One-point blocks: the split map is the base itself.
+    assert split_hom(base, 1) == base
+
+
+def test_doubled_models_are_the_canonical_block_lifts():
+    """The explicit cycle models are the block lifts of the canonical
+    cocycles (a, b) = (0,0), (1,0), (0,1), (1,1) over Z/2, in that order,
+    generator by generator."""
+    for k in range(2, 10):
+        base = standard_hom(k)
+        lifts = [
+            hom_from_cocycle(base, 2, standard_base_cocycle(k, 2, a, b)).sigma
+            for a, b in [(0, 0), (1, 0), (0, 1), (1, 1)]
+        ]
+        assert [h.sigma for h in doubled_standard_classes(k)] == lifts
 
 
 def test_hom_from_cocycle_rejects_bad_shapes():
@@ -317,6 +332,14 @@ def test_cocycle_from_hom_rejects_non_block_maps():
     extended = standard_hom(4).extend(8)
     with pytest.raises(ValueError):
         cocycle_from_hom(base, 2, extended)
+    # Both lifts swap the two 3-point blocks; the second reflects the block
+    # {1,2,3} as it moves it onto {4,5,6}.
+    swap = cyclic_hom(3, Permutation.from_cycles("(1,2)", 2))
+    rigid = Permutation.from_cycles("(1,4)(2,5)(3,6)", 6)
+    assert cocycle_from_hom(swap, 3, cyclic_hom(3, rigid)) == [(0, 0)] * 2
+    reflected = Permutation.from_cycles("(1,4)(2,6,3,5)", 6)
+    with pytest.raises(ValueError, match="a block is not moved by a rotation"):
+        cocycle_from_hom(swap, 3, cyclic_hom(3, reflected))
 
 
 def test_equality_mod():

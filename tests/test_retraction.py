@@ -9,8 +9,8 @@ from braidcensus.homs import (
 )
 from braidcensus.perm import Permutation, r_component
 from braidcensus.retraction import (
+    block_map,
     block_projection,
-    block_splitting,
     cycle_label_action,
     label_image,
     label_table_report,
@@ -41,7 +41,7 @@ def test_normalize_requires_cycles_of_the_requested_length():
 
 def test_block_projection_and_splitting_are_inverse():
     s = Permutation.from_cycles("(1,3,2)", 4)
-    lifted = block_splitting(s, 3)
+    lifted = block_map(s, 3, (0,) * 4)
     assert lifted.degree == 12
     assert block_projection(lifted, 3, 4) == s
     with pytest.raises(ValueError):
