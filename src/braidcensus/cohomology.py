@@ -14,18 +14,11 @@ A cocycle is stored as a list of m-1 integer vectors of length t.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .homs import BraidHom
 from .retraction import block_map, block_projection
 from .words import braid_relations
-
-
-def permute_coords(s, h):
-    """The coordinate action: result[i] = h[s^-1(i)], 1-indexed positions."""
-    si = s.inv()
-    return tuple(h[si(i + 1) - 1] for i in range(len(h)))
 
 
 def cocycle_matrix(omega):
@@ -35,8 +28,8 @@ def cocycle_matrix(omega):
     lhs = rhs of ``words.braid_relations`` gives t rows, the Fox derivatives
     of lhs minus those of rhs (Fox, Free differential calculus I, 1953): a
     cocycle takes a word g_1...g_L to sum_j T_{g_1...g_(j-1)} z_{g_j}, where
-    T_s is ``permute_coords(s, -)``, so row i of letter j reads coordinate
-    prefix^-1(i) of z_{g_j}."""
+    T_s permutes coordinates, (T_s h)[i] = h[s^-1(i)], so row i of letter j
+    reads coordinate prefix^-1(i) of z_{g_j}."""
     m, t = omega.k, omega.n
     # s^-1 on {0..t-1} for each generator image s.
     inverses = [[y - 1 for y in s.inv().images] for s in omega.sigma]
@@ -69,27 +62,8 @@ def coboundary_matrix(omega):
     return rows
 
 
-def coboundary_of(omega, r, h):
-    """The cocycle of the block-translation conjugation by h."""
-    out = []
-    for g in omega.sigma:
-        moved = permute_coords(g, h)
-        out.append(_vec_mod([a - b for a, b in zip(moved, h)], r))
-    return out
-
-
 def _vec_mod(v, r):
     return tuple(x % r for x in v) if r else tuple(v)
-
-
-def is_cocycle(omega, r, z):
-    """Direct check: the block homomorphism built from z satisfies the
-    defining relations (independent of the linear-system encoding)."""
-    try:
-        hom_from_cocycle(omega, r, z)
-        return True
-    except ValueError:
-        return False
 
 
 def hom_from_cocycle(omega, r, z):
@@ -224,18 +198,6 @@ def smith_normal_form(M):
     return [A[i][i] for i in range(min(rows, cols))]
 
 
-def solution_count(M, r):
-    """Number of solutions of M x = 0 over Z/r (r >= 2)."""
-    if r < 2:
-        raise ValueError("need r >= 2")
-    d = smith_normal_form(M)
-    count = 1
-    for j in range(len(M[0])):
-        dj = d[j] if j < len(d) else 0
-        count *= math.gcd(dj, r) if dj else r
-    return count
-
-
 # The nonzero Smith diagonals (d of M, b of B) of each base homomorphism,
 # keyed by what fixes M and B: the strand count, the point count and the
 # generator images.  Every modulus reads H^1 off the same pair.
@@ -290,41 +252,6 @@ def h1_invariants(omega, r):
          for i, x in enumerate(orders)]
     )
     return [x for x in merged if x != 1]
-
-
-def all_cocycles(omega, r):
-    """Every cocycle over Z/r by exhaustion; only for tiny systems."""
-    m, t = omega.k, omega.n
-    M = cocycle_matrix(omega)
-    out = []
-    for flat in itertools.product(range(r), repeat=(m - 1) * t):
-        if all(sum(a * x for a, x in zip(row, flat)) % r == 0 for row in M):
-            out.append(
-                [tuple(flat[p * t : (p + 1) * t]) for p in range(m - 1)]
-            )
-    return out
-
-
-def all_coboundaries(omega, r):
-    out = set()
-    for flat in itertools.product(range(r), repeat=omega.n):
-        z = coboundary_of(omega, r, flat)
-        out.add(tuple(z))
-    return [list(z) for z in sorted(out)]
-
-
-def cocycles_equal_mod(z1, z2, r):
-    return all(
-        all((a - b) % r == 0 for a, b in zip(v1, v2)) for v1, v2 in zip(z1, z2)
-    )
-
-
-def cohomologous(omega, r, z1, z2):
-    """Whether two cocycles differ by a coboundary (exhaustive in h)."""
-    diff = [
-        tuple((a - b) % r for a, b in zip(v1, v2)) for v1, v2 in zip(z1, z2)
-    ]
-    return diff in all_coboundaries(omega, r)
 
 
 # Canonical cocycles for the distinguished base homomorphisms.

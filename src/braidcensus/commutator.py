@@ -17,7 +17,6 @@ from functools import reduce
 from operator import mul
 
 from .census import census
-from .homs import are_conjugate  # noqa: F401  (re-exported)
 from .perm import (
     Permutation,
     GeneratedGroup,

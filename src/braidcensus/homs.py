@@ -11,12 +11,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import mul
 
-from .perm import (
-    GeneratedGroup,
-    Permutation,
-    disjoint_product,
-    tuple_conjugacy_witness,
-)
+from .perm import GeneratedGroup, Permutation, tuple_conjugacy_witness
 from .words import braid_relations, perm_image
 
 
@@ -129,22 +124,6 @@ def cyclic_hom(k, g):
     return BraidHom(k, g.degree, tuple([g] * (k - 1)))
 
 
-def product_hom(h1, h2):
-    """Componentwise product acting on the disjoint union of the two point sets."""
-    if h1.k != h2.k:
-        raise ValueError("strand counts differ")
-    return BraidHom(
-        h1.k,
-        h1.n + h2.n,
-        tuple(disjoint_product(a, b) for a, b in zip(h1.sigma, h2.sigma)),
-    )
-
-
-def compose_word_map(h, words):
-    """Precompose h with the map sending generator i to words[i-1]."""
-    return BraidHom(len(words) + 1, h.n, tuple(h(w) for w in words))
-
-
 def are_conjugate(h1, h2):
     """Conjugacy of homomorphisms by a single permutation of the points.
 
@@ -154,19 +133,6 @@ def are_conjugate(h1, h2):
     if (h1.k, h1.n) != (h2.k, h2.n):
         return False
     return tuple_conjugacy_witness(h1.images(), h2.images()) is not None
-
-
-def conjugacy_classes(homs):
-    """Group a list of homomorphisms into conjugacy classes (list of lists)."""
-    classes = []
-    for h in homs:
-        for cls in classes:
-            if are_conjugate(cls[0], h):
-                cls.append(h)
-                break
-        else:
-            classes.append([h])
-    return classes
 
 
 # Named homomorphisms.
@@ -380,11 +346,3 @@ def six_point_outer_map():
     if len(table) != 720:
         raise RuntimeError("outer automorphism table is not a bijection of S(6)")
     return table
-
-
-def apply_outer_six(h):
-    """Postcompose a homomorphism into S(6) with the outer automorphism."""
-    if h.n != 6:
-        raise ValueError("the outer automorphism lives on six points")
-    table = six_point_outer_map()
-    return BraidHom(h.k, 6, tuple(table[s] for s in h.sigma))

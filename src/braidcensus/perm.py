@@ -8,7 +8,6 @@ with that choice.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -529,29 +528,6 @@ def _classes(parent):
     return sorted((tuple(v) for v in groups.values()), key=lambda o: o[0])
 
 
-def invariant_subsets(p, r):
-    """All p-invariant sets of size r: unions of cycle supports and fixed points."""
-    n = p.degree
-    if not 1 <= r < n:
-        raise ValueError("r out of range")
-    supports = [tuple(c) for c in p.cycles(include_fixed=True)]
-    out = []
-
-    def rec(idx, remaining, chosen):
-        if remaining == 0:
-            out.append(frozenset(x for c in chosen for x in c))
-            return
-        if idx == len(supports):
-            return
-        rec(idx + 1, remaining, chosen)
-        c = supports[idx]
-        if len(c) <= remaining:
-            rec(idx + 1, remaining - len(c), chosen + [c])
-
-    rec(0, r, [])
-    return sorted(out, key=lambda s: sorted(s))
-
-
 def all_partitions(n):
     """All partitions of n, parts descending, lexicographically descending."""
     out = []
@@ -582,21 +558,3 @@ def canonical_of_cycle_type(parts, n):
         cycles.append(tuple(range(start, start + p)))
         start += p
     return Permutation.from_cycles(cycles, n)
-
-
-def conjugacy_class_representatives(n):
-    """One class-minimal representative per conjugacy class of S(n)."""
-    reps = []
-    for parts in all_partitions(n):
-        reps.append(canonical_of_cycle_type([p for p in parts if p >= 2], n))
-    return sorted(set(reps), key=lambda p: p.images)
-
-
-def disjoint_product(a, b):
-    """The permutation acting as a on {1..deg a} and as b shifted above it."""
-    n = a.degree + b.degree
-    return a.extend(n) * b.shift(a.degree, n)
-
-
-def all_permutations(n):
-    return [Permutation(im) for im in itertools.permutations(range(1, n + 1))]

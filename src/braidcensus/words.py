@@ -40,10 +40,6 @@ def commutator(g1, g2):
     return inverse(g1) + inverse(g2) + tuple(g1) + tuple(g2)
 
 
-def exponent_sum(w):
-    return sum(1 if x > 0 else -1 for x in w)
-
-
 def braid_relations(k):
     """The Artin relations of the k-strand braid group as (lhs, rhs) pairs
     of positive words: the far commutations s_q s_p = s_p s_q for
@@ -171,22 +167,6 @@ def half_twist_band(t):
     if t < 2:
         raise ValueError("t must be >= 2")
     return tuple(range(t - 1, 0, -1)) + tuple(range(1, t))
-
-
-def two_generator_relators(k):
-    """Relators presenting B_k on the k-cycle word and its successor.
-
-    With a = alpha_word(k) and b = beta_word(k): b a^(i-1) b equals
-    a^i b a^-(i+1) b a^i for 2 <= i <= k//2, and a^k equals b^(k-1).
-    """
-    a, b = alpha_word(k), beta_word(k)
-    rels = []
-    for i in range(2, k // 2 + 1):
-        lhs = b + power(a, i - 1) + b
-        rhs = power(a, i) + b + power(a, -(i + 1)) + b + power(a, i)
-        rels.append(("conjugation relator i=%d" % i, lhs, rhs))
-    rels.append(("power relator", power(a, k), power(b, k - 1)))
-    return rels
 
 
 def known_identities(k):
@@ -386,13 +366,3 @@ def progression_degrees(k, nmax):
         case: [n for n in range(start, nmax + 1, d)]
         for case, start in starts.items()
     }
-
-
-def defect_balance_holds(rec, k):
-    """Check k * defect(image of alpha) == (k-1) * defect(image of beta)."""
-    n = rec["n"]
-    defect = {"a": n - 1, "b": n}
-    return (
-        k * rec["p"] * defect[rec["alpha_unit"]]
-        == (k - 1) * rec["q"] * defect[rec["beta_unit"]]
-    )

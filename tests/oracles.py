@@ -1,0 +1,242 @@
+"""Exhaustive references for the tests.
+
+Each function here answers by brute force, over every candidate, a question
+the package answers by search or by linear algebra, or builds a map the
+tests feed to the census.  They are meant for tiny inputs only, and nothing
+in ``src`` imports them.
+"""
+
+import functools
+import itertools
+import math
+
+from braidcensus.cohomology import (
+    cocycle_matrix,
+    hom_from_cocycle,
+    smith_normal_form,
+)
+from braidcensus.homs import BraidHom, are_conjugate, six_point_outer_map
+from braidcensus.perm import (
+    Permutation,
+    all_partitions,
+    canonical_of_cycle_type,
+)
+from braidcensus.words import alpha_word, beta_word, power
+
+# Permutations.
+
+
+@functools.cache
+def all_permutations(n):
+    """Every element of S(n), in increasing order; one shared tuple per n."""
+    return tuple(
+        Permutation(im) for im in itertools.permutations(range(1, n + 1))
+    )
+
+
+def conjugacy_class_representatives(n):
+    """One class-minimal representative per conjugacy class of S(n)."""
+    return sorted(canonical_of_cycle_type(p, n) for p in all_partitions(n))
+
+
+def centralizer_order(p):
+    """The order of the centralizer of p in S(n): the product of l^m m!
+    over the cycle lengths l, fixed points included, that occur m times."""
+    lengths = [len(c) for c in p.cycles(include_fixed=True)]
+    return math.prod(
+        length ** lengths.count(length) * math.factorial(lengths.count(length))
+        for length in set(lengths)
+    )
+
+
+def invariant_subsets(p, r):
+    """All p-invariant sets of size r: unions of cycle supports and fixed
+    points, found by trying every set of cycles."""
+    if not 1 <= r < p.degree:
+        raise ValueError("r out of range")
+    cycles = p.cycles(include_fixed=True)
+    unions = (
+        frozenset(x for c in chosen for x in c)
+        for size in range(len(cycles) + 1)
+        for chosen in itertools.combinations(cycles, size)
+    )
+    return sorted((s for s in unions if len(s) == r), key=sorted)
+
+
+def disjoint_product(a, b):
+    """The permutation acting as a on {1..deg a} and as b shifted above it."""
+    n = a.degree + b.degree
+    return a.extend(n) * b.shift(a.degree, n)
+
+
+# Braid words.
+
+
+def exponent_sum(w):
+    return sum(1 if x > 0 else -1 for x in w)
+
+
+def two_generator_relators(k):
+    """Relators presenting B_k on the k-cycle word and its successor.
+
+    With a = alpha_word(k) and b = beta_word(k): b a^(i-1) b equals
+    a^i b a^-(i+1) b a^i for 2 <= i <= k//2, and a^k equals b^(k-1).
+    """
+    a, b = alpha_word(k), beta_word(k)
+    rels = []
+    for i in range(2, k // 2 + 1):
+        lhs = b + power(a, i - 1) + b
+        rhs = power(a, i) + b + power(a, -(i + 1)) + b + power(a, i)
+        rels.append(("conjugation relator i=%d" % i, lhs, rhs))
+    rels.append(("power relator", power(a, k), power(b, k - 1)))
+    return rels
+
+
+def defect_balance_holds(rec, k):
+    """Check k * defect(image of alpha) == (k-1) * defect(image of beta)."""
+    n = rec["n"]
+    defect = {"a": n - 1, "b": n}
+    return (
+        k * rec["p"] * defect[rec["alpha_unit"]]
+        == (k - 1) * rec["q"] * defect[rec["beta_unit"]]
+    )
+
+
+# Homomorphisms and their classes.
+
+
+def product_hom(h1, h2):
+    """Componentwise product acting on the disjoint union of the two point sets."""
+    if h1.k != h2.k:
+        raise ValueError("strand counts differ")
+    return BraidHom(
+        h1.k,
+        h1.n + h2.n,
+        tuple(disjoint_product(a, b) for a, b in zip(h1.sigma, h2.sigma)),
+    )
+
+
+def compose_word_map(h, words):
+    """Precompose h with the map sending generator i to words[i-1]."""
+    return BraidHom(len(words) + 1, h.n, tuple(h(w) for w in words))
+
+
+def apply_outer_six(h):
+    """Postcompose a homomorphism into S(6) with the outer automorphism."""
+    if h.n != 6:
+        raise ValueError("the outer automorphism lives on six points")
+    table = six_point_outer_map()
+    return BraidHom(h.k, 6, tuple(table[s] for s in h.sigma))
+
+
+def conjugacy_classes(homs):
+    """Group a list of homomorphisms into conjugacy classes (list of lists),
+    in the order of each class's first member."""
+    classes = []
+    for h in homs:
+        for cls in classes:
+            if are_conjugate(cls[0], h):
+                cls.append(h)
+                break
+        else:
+            classes.append([h])
+    return classes
+
+
+def class_match(found, expected):
+    """Require a one-for-one match up to conjugacy: as many found maps as
+    expected ones, each found map conjugate to exactly one expected map, and
+    no expected map matched twice.  Serves braid-group and commutator maps
+    alike."""
+    assert len(found) == len(expected), (len(found), len(expected))
+    hits = []
+    for h in found:
+        matches = [i for i, e in enumerate(expected) if are_conjugate(h, e)]
+        assert len(matches) == 1, (h.to_json(), matches)
+        hits.append(matches[0])
+    assert len(set(hits)) == len(hits), hits
+
+
+# Cocycles over Z/r, by exhaustion.
+
+
+def _require_modulus(r):
+    if r < 2:
+        raise ValueError("need r >= 2")
+
+
+def permute_coords(s, h):
+    """The coordinate action: result[i] = h[s^-1(i)], 1-indexed positions."""
+    si = s.inv()
+    return tuple(h[si(i + 1) - 1] for i in range(len(h)))
+
+
+def coboundary_of(omega, r, h):
+    """The cocycle of the block-translation conjugation by h; r = 0 means
+    integer coordinates."""
+    out = []
+    for g in omega.sigma:
+        v = [a - b for a, b in zip(permute_coords(g, h), h)]
+        out.append(tuple(x % r for x in v) if r else tuple(v))
+    return out
+
+
+def is_cocycle(omega, r, z):
+    """Direct check: the block homomorphism built from z satisfies the
+    defining relations (independent of the linear-system encoding)."""
+    _require_modulus(r)
+    try:
+        hom_from_cocycle(omega, r, z)
+        return True
+    except ValueError:
+        return False
+
+
+def solution_count(M, r):
+    """Number of solutions of M x = 0 over Z/r, read off the Smith diagonal."""
+    _require_modulus(r)
+    d = smith_normal_form(M)
+    count = 1
+    for j in range(len(M[0])):
+        dj = d[j] if j < len(d) else 0
+        count *= math.gcd(dj, r) if dj else r
+    return count
+
+
+def all_cocycles(omega, r):
+    """Every cocycle over Z/r: every vector the cocycle matrix kills."""
+    _require_modulus(r)
+    m, t = omega.k, omega.n
+    M = cocycle_matrix(omega)
+    out = []
+    for flat in itertools.product(range(r), repeat=(m - 1) * t):
+        if all(sum(a * x for a, x in zip(row, flat)) % r == 0 for row in M):
+            out.append(
+                [tuple(flat[p * t : (p + 1) * t]) for p in range(m - 1)]
+            )
+    return out
+
+
+def all_coboundaries(omega, r):
+    """Every coboundary over Z/r, sorted, one per distinct value."""
+    _require_modulus(r)
+    out = set()
+    for flat in itertools.product(range(r), repeat=omega.n):
+        out.add(tuple(coboundary_of(omega, r, flat)))
+    return [list(z) for z in sorted(out)]
+
+
+def cocycles_equal_mod(z1, z2, r):
+    _require_modulus(r)
+    return all(
+        all((a - b) % r == 0 for a, b in zip(v1, v2)) for v1, v2 in zip(z1, z2)
+    )
+
+
+def cohomologous(omega, r, z1, z2):
+    """Whether two cocycles differ by a coboundary (exhaustive in h)."""
+    _require_modulus(r)
+    diff = [
+        tuple((a - b) % r for a, b in zip(v1, v2)) for v1, v2 in zip(z1, z2)
+    ]
+    return diff in all_coboundaries(omega, r)

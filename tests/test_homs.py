@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from braidcensus.homs import (
     BraidHom,
-    apply_outer_six,
     are_conjugate,
-    compose_word_map,
     cyclic_hom,
     doubled_standard_classes,
     exceptional_hom_six,
@@ -22,7 +21,6 @@ from braidcensus.homs import (
     four_strand_six_points,
     from_alpha_beta,
     from_sigma1_alpha,
-    product_hom,
     six_point_outer_map,
     six_strand_ten_points,
     standard_hom,
@@ -31,6 +29,7 @@ from braidcensus.homs import (
     transposition_pair_hom,
 )
 from braidcensus.perm import Permutation
+from braidcensus.words import cable_hom
 
 
 def _all_catalog_homs():
@@ -162,8 +161,8 @@ def test_six_point_outer_automorphism():
         assert table[a * b] == table[a] * table[b]
     swap = Permutation.from_cycles("(1,2)", 6)
     assert table[swap].cycle_type() == (2, 2, 2)
-    assert are_conjugate(apply_outer_six(standard_hom(6)), exceptional_hom_six())
-    assert are_conjugate(apply_outer_six(exceptional_hom_six()), standard_hom(6))
+    assert are_conjugate(oracles.apply_outer_six(standard_hom(6)), exceptional_hom_six())
+    assert are_conjugate(oracles.apply_outer_six(exceptional_hom_six()), standard_hom(6))
 
 
 def test_five_strand_map_restricts_the_exceptional_six_strand_map():
@@ -174,7 +173,7 @@ def test_five_strand_map_restricts_the_exceptional_six_strand_map():
 
 def test_strand_collapse_words_induce_a_three_strand_map():
     words = strand_collapse_words(4)
-    collapsed = compose_word_map(standard_hom(3), words)
+    collapsed = oracles.compose_word_map(standard_hom(3), words)
     assert collapsed.k == 4
     assert not collapsed.is_cyclic()
     assert collapsed.sigma[0] == collapsed.sigma[2]
@@ -206,7 +205,9 @@ def test_doubled_standard_classes_are_distinct_lifts():
 
 
 def test_product_and_extension():
-    h = product_hom(standard_hom(3), cyclic_hom(3, Permutation.from_cycles("(1,2)", 2)))
+    h = oracles.product_hom(
+        standard_hom(3), cyclic_hom(3, Permutation.from_cycles("(1,2)", 2))
+    )
     assert h.n == 5
     assert not h.is_transitive()
     e = standard_hom(3).extend(5)
@@ -255,3 +256,35 @@ def test_json_round_trip(h):
     back = BraidHom.from_json(json.loads(json.dumps(h.to_json())))
     assert back == h
     assert back.to_json() == h.to_json()
+
+
+_PRODUCTS = [
+    oracles.product_hom(a, b)
+    for a in _NAMED_HOMS
+    for b in _NAMED_HOMS
+    if a.k == b.k > 2 and a.n + b.n <= 8
+]
+
+
+@st.composite
+def _cablings(draw):
+    """The standard map on k*m <= 9 strands precomposed with m-cabling."""
+    k, m = draw(st.sampled_from([(3, 2), (3, 3), (4, 2)]))
+    letters = [x for x in range(1 - m, m) if x]
+    v = draw(st.lists(st.sampled_from(letters), max_size=3))
+    return oracles.compose_word_map(standard_hom(k * m), cable_hom(k, m, v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    h=st.one_of(
+        _braid_homs().filter(lambda h: h.k > 2),
+        st.sampled_from(_PRODUCTS),
+        _cablings(),
+    )
+)
+def test_derived_maps_land_in_exactly_one_census_class(census_cache, h):
+    """A conjugate of a named or cyclic map, a disjoint product of two named
+    maps, or a cabling is conjugate to exactly one census record."""
+    records = census_cache(h.k, h.n)
+    assert sum(are_conjugate(h, rec.hom) for rec in records) == 1, h.to_json()

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import oracles
 from braidcensus.perm import Permutation
 from braidcensus.words import (
     alpha_word,
@@ -15,7 +16,6 @@ from braidcensus.words import (
     cable_hom,
     commutator,
     conjugate,
-    exponent_sum,
     free_reduce,
     half_twist_band,
     handle_reduce,
@@ -25,7 +25,6 @@ from braidcensus.words import (
     progression_degrees,
     special_params,
     strand_permutation,
-    two_generator_relators,
     word,
     words_equal,
 )
@@ -37,7 +36,7 @@ def test_free_reduction_and_word_algebra():
     assert power((1, 2), -2) == (-2, -1, -2, -1)
     assert conjugate((2,), (1,)) == (1, 2, -1)
     assert commutator((1,), (2,)) == (-1, -2, 1, 2)
-    assert exponent_sum((1, 1, -2, 3)) == 2
+    assert oracles.exponent_sum((1, 1, -2, 3)) == 2
 
 
 def test_reduction_oracle_decides_the_braid_relations():
@@ -77,7 +76,7 @@ def test_reduction_oracle_agrees_with_the_symmetric_projection():
             assert strand_permutation(w, k).is_identity()
     for _ in range(50):
         w = tuple(rng.choice(letters) for _ in range(8))
-        assert exponent_sum(handle_reduce(w)) == exponent_sum(w)
+        assert oracles.exponent_sum(handle_reduce(w)) == oracles.exponent_sum(w)
 
 
 def test_handle_reduction_stops_at_its_step_bound():
@@ -103,12 +102,12 @@ def test_full_cycle_and_band_projections():
         [(2, 3, 4)], 5
     )
     assert band_beta_word(2, 4) == band_word(2, 4) + (2,)
-    assert exponent_sum(half_twist_band(4)) == 6
+    assert oracles.exponent_sum(half_twist_band(4)) == 6
 
 
 def test_two_generator_relators_are_trivial():
     for k in range(3, 8):
-        for name, lhs, rhs in two_generator_relators(k):
+        for name, lhs, rhs in oracles.two_generator_relators(k):
             assert words_equal(lhs, rhs), (k, name)
 
 
@@ -142,7 +141,7 @@ def test_special_parameter_records_are_internally_consistent():
 def test_cabling_words():
     # doubling a single strand pair: the doubled generator has exponent
     # sum 1 + m*m for m = 2
-    assert exponent_sum(cable_hom(2, 2, (1,))[0]) == 5
+    assert oracles.exponent_sum(cable_hom(2, 2, (1,))[0]) == 5
     images = cable_hom(3, 2)
     assert len(images) == 2
     assert words_equal(
