@@ -7,7 +7,9 @@ chains one image at a time with ``perm.braid_partners``, a backtracking
 search that lets the relators force images point by point.  The images of
 s_2 are split into orbits under the centralizer C(s) of s first, and only
 the least member of each orbit is extended: every class of maps with first
-image s has a member whose second image is such a representative.  Each
+image s has a member whose second image is such a representative, and the
+search for s_2 (``symmetry=s``) skips partners that cannot be.  The later
+images are searched in full: the closing count needs every chain.  Each
 chain is recorded by its full-cycle image a = s_1 ... s_{k-1}, and the a
 are split into conjugacy classes by the action of C(s).
 """
@@ -63,7 +65,7 @@ def _census_one_class(args):
     pool = []
     maps = 0
     for (s2,), s2_orbit in conjugation_orbits(
-        [(x,) for x in braid_partners(s1)], gens
+        [(x,) for x in braid_partners(s1, symmetry=s1)], gens
     ):
         chains = [(s1, s2)]
         for _ in range(k - 3):

@@ -236,16 +236,17 @@ def tuple_conjugacy_witness(aa, bb):
     return g
 
 
-def braid_partners(a, commuting=()):
+def braid_partners(a, commuting=(), symmetry=None):
     """Every x with a x a = x a x that commutes with each permutation in
-    ``commuting``, in increasing order."""
+    ``commuting``, in increasing order; ``symmetry`` as for
+    ``relator_solutions``."""
     x, x_inv = (None, 1), (None, -1)
     relators = [((a, 1), x, (a, 1), x_inv, (a, -1), x_inv)]
     relators += [(x, (c, 1), x_inv, (c, -1)) for c in commuting]
-    return relator_solutions(a.degree, relators)
+    return relator_solutions(a.degree, relators, symmetry=symmetry)
 
 
-def relator_solutions(n, relators, first=False):
+def relator_solutions(n, relators, first=False, symmetry=None):
     """Every x in S(n) for which each relator is the identity, in
     increasing order; with ``first``, only the least one.
 
@@ -265,7 +266,32 @@ def relator_solutions(n, relators, first=False):
     these closed walks run backwards, which the two-ended scan already
     covers.  Each branch defines the least point without an image and tries
     its images in increasing order, so solutions come out sorted.
+
+    With a permutation s as ``symmetry``, every fixed letter must commute
+    with C(s) (else ``ValueError``), so C(s) permutes the solutions, and the
+    result is a sorted subset that holds the least member of each C(s)-orbit
+    (so ``first`` still gives the least solution; McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 1998).  At a branch point p the
+    least such x has x(p) least in its orbit under the stabilizer in C(s)
+    of p and of the points mapped so far and their images: alone if its
+    s-cycle meets those points, else every point on an untouched s-cycle of
+    its length (fixed points are 1-cycles).  Only that least free point of
+    each orbit is tried.
     """
+    if symmetry is not None:
+        if symmetry.degree != n:
+            raise ValueError("degree mismatch")
+        gens = centralizer_generators(symmetry)
+        letters = {g for word in relators for g, _ in word if g is not None}
+        if any(g * h != h * g for g in letters for h in gens):
+            raise ValueError("a fixed letter does not commute with C(symmetry)")
+        # Each point's s-cycle, named by its least point, and its length.
+        cycle_of = [0] * n
+        length = [0] * n
+        for c in symmetry.cycles(include_fixed=True):
+            for y in c:
+                cycle_of[y - 1], length[y - 1] = c[0], len(c)
+
     img = [-1] * n  # x on {0..n-1}; -1 where not yet chosen
     pre = [-1] * n  # x^-1 likewise
     # Each letter as the pair (its map, the inverse map) on {0..n-1}, by
@@ -359,9 +385,19 @@ def relator_solutions(n, relators, first=False):
             out.append(Permutation._trusted(tuple([y + 1 for y in img])))
             return first
         p = img.index(-1)
+        if symmetry is not None:
+            touched = {cycle_of[p]}
+            touched.update(
+                cycle_of[y] for y in range(n) if img[y] >= 0 or pre[y] >= 0
+            )
+            untouched_tried = set()
         for q in range(n):
             if pre[q] >= 0:
                 continue
+            if symmetry is not None and cycle_of[q] not in touched:
+                if length[q] in untouched_tried:
+                    continue
+                untouched_tried.add(length[q])
             mark = len(trail)
             if define(p, q) and search():
                 return True
@@ -379,26 +415,31 @@ def relator_solutions(n, relators, first=False):
 
 
 def centralizer_generators(p):
-    """Generators of the centralizer of p in S(n).
-
-    Per-cycle rotations, swaps of adjacent same-length cycles, and
-    transpositions of adjacent fixed points.
-    """
+    """Generators of the centralizer of p in S(n), at most three per cycle
+    length (fixed points as 1-cycles): on the t cycles of length L, the
+    wreath product C_L wr S_t is generated by a rotation of the first
+    cycle, a swap of the first two and a shift through all t."""
     n = p.degree
     gens = []
     by_len = {}
     for c in p.cycles(include_fixed=True):
         by_len.setdefault(len(c), []).append(c)
+
+    def shift(cycs):
+        # each cycle onto the next, point by point, the last onto the first
+        images = list(range(1, n + 1))
+        for src, dst in zip(cycs, cycs[1:] + cycs[:1]):
+            for x, y in zip(src, dst):
+                images[x - 1] = y
+        return Permutation._trusted(tuple(images))
+
     for length, cycs in sorted(by_len.items()):
         if length > 1:
-            for c in cycs:
-                gens.append(Permutation.from_cycles([c], n))
-        for c1, c2 in zip(cycs, cycs[1:]):
-            images = list(range(1, n + 1))
-            for x, y in zip(c1, c2):
-                images[x - 1] = y
-                images[y - 1] = x
-            gens.append(Permutation(images))
+            gens.append(Permutation.from_cycles(cycs[:1], n))
+        if len(cycs) > 1:
+            gens.append(shift(cycs[:2]))
+        if len(cycs) > 2:
+            gens.append(shift(cycs))
     return gens
 
 

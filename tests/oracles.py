@@ -15,7 +15,20 @@ from braidcensus.cohomology import (
     hom_from_cocycle,
     smith_normal_form,
 )
-from braidcensus.homs import BraidHom, are_conjugate, six_point_outer_map
+from braidcensus.homs import (
+    BraidHom,
+    are_conjugate,
+    doubled_standard_classes,
+    exceptional_hom_six,
+    exceptional_homs_four,
+    five_strand_six_points,
+    four_strand_five_points,
+    four_strand_six_points,
+    six_point_outer_map,
+    six_strand_ten_points,
+    standard_hom,
+    three_strand_catalog,
+)
 from braidcensus.perm import (
     Permutation,
     all_partitions,
@@ -103,6 +116,28 @@ def defect_balance_holds(rec, k):
 
 
 # Homomorphisms and their classes.
+
+
+@functools.cache
+def named_homs():
+    """Every named map of ``homs``: the three-strand catalog, the
+    four-, five- and six-strand maps, the exceptional maps, the standard
+    maps on 2 to 8 strands and on 4 of 6 points, and the doubled classes at
+    3 and 4 strands.  A check that holds only for some of them says so by a
+    filter on this tuple."""
+    return (
+        *three_strand_catalog().values(),
+        four_strand_five_points(),
+        *four_strand_six_points(),
+        five_strand_six_points(),
+        six_strand_ten_points(),
+        *exceptional_homs_four(),
+        exceptional_hom_six(),
+        *(standard_hom(k) for k in range(2, 9)),
+        standard_hom(4, 6),
+        *doubled_standard_classes(3),
+        *doubled_standard_classes(4),
+    )
 
 
 def product_hom(h1, h2):

@@ -39,7 +39,6 @@ from braidcensus.homs import (
     five_strand_six_points,
     four_strand_five_points,
     four_strand_six_points,
-    six_strand_ten_points,
     standard_hom,
     three_strand_catalog,
 )
@@ -203,7 +202,9 @@ def test_maps_to_fewer_points_are_cyclic(census_cache):
 
 def test_adjacent_degree_sweeps(census_cache):
     start = time.monotonic()
-    for k, n in [(6, 7), (7, 8), (6, 8), (6, 9), (7, 9), (7, 10), (7, 11)]:
+    sizes = [(6, 7), (7, 8), (6, 8), (6, 9)]
+    sizes += [(7, n) for n in range(9, 14)]
+    for k, n in sizes:
         for rec in select(census_cache(k, n), transitive=True):
             assert rec.cyclic
     noncyclic = select(census_cache(5, 7), cyclic=False)
@@ -293,21 +294,8 @@ def test_cocycle_roundtrips_and_exhaustive_block_homs(census_cache):
 # 6. Retraction tables.
 
 
-def _catalog_homs():
-    homs = list(three_strand_catalog().values())
-    homs.append(four_strand_five_points())
-    homs.extend(four_strand_six_points())
-    homs.append(five_strand_six_points())
-    homs.append(six_strand_ten_points())
-    homs.extend(standard_hom(k) for k in range(4, 8))
-    homs.extend(exceptional_homs_four())
-    homs.append(exceptional_hom_six())
-    homs.extend(doubled_standard_classes(4))
-    return homs
-
-
 def test_retraction_tables_clean_on_catalog():
-    for hom in _catalog_homs():
+    for hom in oracles.named_homs():
         if hom.k < 4:
             continue
         for r in sorted(set(hom.sigma[0].cycle_type())):

@@ -17,8 +17,6 @@ from braidcensus.homs import (
     exceptional_hom_six,
     exceptional_homs_four,
     five_strand_six_points,
-    four_strand_five_points,
-    four_strand_six_points,
     from_alpha_beta,
     from_sigma1_alpha,
     six_point_outer_map,
@@ -30,18 +28,6 @@ from braidcensus.homs import (
 )
 from braidcensus.perm import Permutation
 from braidcensus.words import cable_hom
-
-
-def _all_catalog_homs():
-    homs = list(three_strand_catalog().values())
-    homs.append(four_strand_five_points())
-    homs.extend(four_strand_six_points())
-    homs.append(five_strand_six_points())
-    homs.append(six_strand_ten_points())
-    homs.extend(exceptional_homs_four())
-    homs.append(exceptional_hom_six())
-    homs.extend(standard_hom(k) for k in range(3, 9))
-    return homs
 
 
 def test_invalid_generator_images_are_rejected():
@@ -91,7 +77,7 @@ def test_cyclic_maps():
 
 
 def test_reconstruction_from_first_generator_and_full_cycle():
-    for h in _all_catalog_homs():
+    for h in oracles.named_homs():
         rebuilt = from_sigma1_alpha(h.k, h.n, h.sigma[0], h.alpha())
         assert rebuilt == h
     # an incompatible seed pair yields nothing
@@ -126,7 +112,7 @@ def test_conjugation_and_conjugacy_detection():
 
 
 def test_generator_images_share_one_cycle_type():
-    for h in _all_catalog_homs():
+    for h in oracles.named_homs():
         types = {g.cycle_type() for g in h.sigma}
         assert len(types) == 1, h.to_json()
 
@@ -134,7 +120,7 @@ def test_generator_images_share_one_cycle_type():
 def test_full_cycle_orders_divide_as_expected():
     # for non-cyclic maps away from four strands, the full-cycle image has
     # order divisible by k and the successor image order divisible by k-1
-    for h in _all_catalog_homs():
+    for h in oracles.named_homs():
         if h.k == 4 or h.is_cyclic():
             continue
         assert h.alpha().order() % h.k == 0, h.to_json()
@@ -227,22 +213,11 @@ def test_remote_degree_example_validates():
     assert h.group().order() == 720
 
 
-_NAMED_HOMS = (
-    [standard_hom(k) for k in range(2, 7)]
-    + [standard_hom(4, 6), exceptional_hom_six(), five_strand_six_points()]
-    + [four_strand_five_points(), six_strand_ten_points()]
-    + four_strand_six_points()
-    + exceptional_homs_four()
-    + list(three_strand_catalog().values())
-    + doubled_standard_classes(3)
-)
-
-
 @st.composite
 def _braid_homs(draw):
     """A named map conjugated by any permutation, or a cyclic map."""
     if draw(st.booleans()):
-        h = draw(st.sampled_from(_NAMED_HOMS))
+        h = draw(st.sampled_from(oracles.named_homs()))
         g = draw(st.permutations(range(1, h.n + 1)))
         return h.conjugate(Permutation(g))
     n = draw(st.integers(1, 7))
@@ -260,8 +235,8 @@ def test_json_round_trip(h):
 
 _PRODUCTS = [
     oracles.product_hom(a, b)
-    for a in _NAMED_HOMS
-    for b in _NAMED_HOMS
+    for a in oracles.named_homs()
+    for b in oracles.named_homs()
     if a.k == b.k > 2 and a.n + b.n <= 8
 ]
 

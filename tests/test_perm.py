@@ -126,10 +126,14 @@ def test_tuple_conjugacy_matches_brute_force():
 
 
 def test_centralizer_generators_span_the_full_centralizer():
-    for n in (4, 5, 6):
+    for n in (4, 5, 6, 7):
         for a in oracles.conjugacy_class_representatives(n):
-            generated = GeneratedGroup(n, centralizer_generators(a)).order()
+            gens = centralizer_generators(a)
+            generated = GeneratedGroup(n, gens).order()
             assert generated == oracles.centralizer_order(a)
+            # at most a rotation, a swap and a shift per cycle length
+            lengths = {len(c) for c in a.cycles(include_fixed=True)}
+            assert len(gens) <= 3 * len(lengths)
 
 
 def test_generated_group_orbits_order_and_primitivity():
@@ -262,6 +266,47 @@ def test_braid_partners_match_a_scan_of_the_symmetric_group():
                 assert braid_partners(a, (c,)) == [
                     x for x in braiding if x * c == c * x
                 ]
+
+
+def _assert_orbit_leasts_kept(a, commuting=()):
+    """The symmetric search gives a sorted subset of the partners that holds
+    the least member of every C(a)-orbit."""
+    full = braid_partners(a, commuting)
+    cut = braid_partners(a, commuting, symmetry=a)
+    assert cut == sorted(cut)
+    assert set(cut) <= set(full)
+    gens = centralizer_generators(a)
+    if not gens:
+        assert cut == full
+        return
+    orbits = conjugation_orbits([(x,) for x in full], gens)
+    assert {least for (least,), _ in orbits} <= set(cut)
+
+
+def test_symmetric_search_keeps_the_least_member_of_every_orbit():
+    x, x_inv = (None, 1), (None, -1)
+    for n in range(1, 8):
+        for a in oracles.conjugacy_class_representatives(n):
+            _assert_orbit_leasts_kept(a)
+            braiding = [((a, 1), x, (a, 1), x_inv, (a, -1), x_inv)]
+            assert relator_solutions(
+                n, braiding, first=True, symmetry=a
+            ) == relator_solutions(n, braiding, first=True)
+    # a fixed letter that every element of C(b) commutes with
+    b = Permutation.from_cycles("(1,2)(3,4,5)", 6)
+    _assert_orbit_leasts_kept(b, (Permutation.from_cycles("(3,4,5)", 6),))
+
+
+def test_symmetric_search_refuses_letters_outside_the_centralizer():
+    a = Permutation.from_cycles("(1,2)(3,4)", 5)
+    with pytest.raises(ValueError):
+        braid_partners(a, (Permutation.from_cycles("(1,3)", 5),), symmetry=a)
+    # (1,2) commutes with a but not with (1,3)(2,4) in C(a), so C(a) does
+    # not permute the solutions
+    with pytest.raises(ValueError):
+        braid_partners(a, (Permutation.from_cycles("(1,2)", 5),), symmetry=a)
+    with pytest.raises(ValueError):
+        relator_solutions(5, [((None, 1), (None, 1))], symmetry=a.extend(6))
 
 
 def _evaluate(word, x):
