@@ -9,7 +9,10 @@ s_2 are split into orbits under the centralizer C(s) of s first, and only
 the least member of each orbit is extended: every class of maps with first
 image s has a member whose second image is such a representative, and the
 search for s_2 (``symmetry=s``) skips partners that cannot be.  The later
-images are searched in full: the closing count needs every chain.  Each
+images are searched in full, since the closing count needs every chain,
+except past s_2 = s: an s_3 that braids with s and commutes with it is s
+(s s_3 s = s_3 s s_3 and s s_3 = s_3 s give s = s_3), and so on, so the
+constant chain (s, ..., s) is the only chain through it.  Each
 chain is recorded by its full-cycle image a = s_1 ... s_{k-1}, and the a
 are split into conjugacy classes by the action of C(s).
 """
@@ -67,13 +70,18 @@ def _census_one_class(args):
     for (s2,), s2_orbit in conjugation_orbits(
         [(x,) for x in braid_partners(s1, symmetry=s1)], gens
     ):
-        chains = [(s1, s2)]
-        for _ in range(k - 3):
-            chains = [
-                chain + (x,)
-                for chain in chains
-                for x in braid_partners(chain[-1], chain[:-1])
-            ]
+        if s2 == s1:
+            # s3 braids with s2 = s1 and commutes with s1, so s3 = s1, and
+            # so on down the chain: the constant chain is the only one.
+            chains = [(s1,) * (k - 1)]
+        else:
+            chains = [(s1, s2)]
+            for _ in range(k - 3):
+                chains = [
+                    chain + (x,)
+                    for chain in chains
+                    for x in braid_partners(chain[-1], chain[:-1])
+                ]
         # Conjugating by C(s1) carries the chains through s2 onto those
         # through each member of its orbit.
         maps += s2_orbit * len(chains)

@@ -264,8 +264,13 @@ def relator_solutions(n, relators, first=False, symmetry=None):
     with exactly one gap forces the missing image; a closed scan that misses
     its start prunes the branch.  A rotation of an inverse relator is one of
     these closed walks run backwards, which the two-ended scan already
-    covers.  Each branch defines the least point without an image and tries
-    its images in increasing order, so solutions come out sorted.
+    covers.  A relator that reduces to x^e g^f x^-e h^d, such as a
+    commutation x c x^-1 c^-1 or a conjugacy relator, is not scanned: it
+    says x(A p) = B(x(p)) for fixed maps A and B (A = g^-f, B = h^d when
+    e = 1; A = h^-d, B = g^f when e = -1), so each new image x(p) = q
+    forces x(A p) = B q at once, and so on along the A-cycle of p.  Both rules reach the same fixpoint.
+    Each branch defines the least point without an image and tries its
+    images in increasing order, so solutions come out sorted.
 
     With a permutation s as ``symmetry``, every fixed letter must commute
     with C(s) (else ``ValueError``), so C(s) permutes the solutions, and the
@@ -300,8 +305,9 @@ def relator_solutions(n, relators, first=False, symmetry=None):
 
     # A relator is a closed walk: the letters of the word, last one first,
     # must bring every point back to itself.  Rotations that start with x
-    # are scanned from p, those with x^-1 from q.
-    at_x, at_x_inv = [], []
+    # are scanned from p, those with x^-1 from q; a walk x, F, x^-1, G says
+    # x(G^-1 p) = F(x(p)) and goes to ``equivariant`` as (G^-1, F) instead.
+    at_x, at_x_inv, equivariant = [], [], []
     for word in relators:
         red = []
         for g, e in word:
@@ -338,6 +344,13 @@ def relator_solutions(n, relators, first=False, symmetry=None):
                     f = fwd[f]
                 if f != start:
                     return []
+        if len(walk) == 4 and xs in ([0, 2], [1, 3]):
+            (_, e), (_, d) = red[xs[0]], red[xs[1]]
+            if e == -d:
+                # the rotation x, F, x^-1, G starts at the letter x
+                i = xs[e == -1]
+                equivariant.append((walk[i - 1][1], walk[i - 3][0]))
+                continue
         for i in xs:
             rot = walk[i:] + walk[:i]
             (at_x if red[i][1] == 1 else at_x_inv).append(tuple(zip(*rot)))
@@ -351,6 +364,14 @@ def relator_solutions(n, relators, first=False, symmetry=None):
         queue = [(p, q)]
         while queue:
             p, q = queue.pop()
+            for a, b in equivariant:
+                u, v = a[p], b[q]
+                if img[u] != v:
+                    if img[u] >= 0 or pre[v] >= 0:
+                        return False
+                    img[u], pre[v] = v, u
+                    trail.append(u)
+                    queue.append((u, v))
             for start, rotations in ((p, at_x), (q, at_x_inv)):
                 for fwd, bwd in rotations:
                     m = len(fwd)

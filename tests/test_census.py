@@ -13,6 +13,7 @@ from braidcensus.homs import BraidHom, from_sigma1_alpha, six_strand_ten_points
 from braidcensus.perm import (
     Permutation,
     all_partitions,
+    canonical_of_cycle_type,
     centralizer_generators,
     conjugation_orbits,
 )
@@ -101,6 +102,18 @@ def test_cyclic_classes_are_keyed_by_cycle_type(census_cache):
         types = [r.hom.sigma[0].cycle_type() for r in cyclic]
         assert len(set(types)) == len(types)
         assert len(types) == len(all_partitions(n))
+
+
+def test_each_cycle_type_has_one_constant_class_of_orbit_size_one(census_cache):
+    """The census does not search past s_2 = s_1; the constant chain it
+    records there is a class of its own, fixed by the centralizer."""
+    n = 6
+    for k in range(3, 7):
+        records = census_cache(k, n)
+        for parts in all_partitions(n):
+            s = canonical_of_cycle_type(parts, n)
+            constant = [r for r in records if r.hom.sigma == (s,) * (k - 1)]
+            assert [r.orbit_size for r in constant] == [1]
 
 
 def test_transitive_non_cyclic_records_are_primitive_at_moderate_degree(

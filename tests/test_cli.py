@@ -98,6 +98,19 @@ def test_census_7_10_output_is_pinned():
     )
 
 
+def test_census_8_10_output_is_pinned():
+    """The deepest chain the suite runs; the digest was recorded while every
+    commutation relator was scanned and chains past s_2 = s_1 were
+    searched."""
+    rc, out = _run(["census", "8", "10"])
+    assert rc == 0
+    assert len(json.loads(out)["classes"]) == 44
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "e5b03b5c2542f4a67644d8efe9b8f0e6e7d1b75b416290a06d40702c555a72b5"
+    )
+
+
 def test_census_bprime_6_7_output_is_pinned():
     """The stdout digest recorded with the scan of S(7) for the u-image
     that preceded the relator search."""

@@ -317,6 +317,14 @@ def _evaluate(word, x):
     return out
 
 
+def _solutions_by_scan(n, relators):
+    return [
+        x
+        for x in oracles.all_permutations(n)
+        if all(_evaluate(w, x).is_identity() for w in relators)
+    ]
+
+
 def test_relator_solutions_match_a_scan_of_the_symmetric_group():
     rng = random.Random(11)
     n = 4
@@ -330,11 +338,7 @@ def test_relator_solutions_match_a_scan_of_the_symmetric_group():
             )
             for _ in range(rng.randint(1, 2))
         ]
-        expected = [
-            x
-            for x in sym
-            if all(_evaluate(w, x).is_identity() for w in relators)
-        ]
+        expected = _solutions_by_scan(n, relators)
         assert relator_solutions(n, relators) == expected
         assert relator_solutions(n, relators, first=True) == expected[:1]
 
@@ -353,6 +357,60 @@ def test_relator_solutions_edge_cases():
         relator_solutions(n, [(x, (a, 2))])
     with pytest.raises(ValueError):
         relator_solutions(n, [(x, (Permutation.identity(4), 1))])
+    # x^e g^f x^-e h^d: a same-sign pair x g x h is left to the scans; an
+    # identity letter makes x(p) = h(x(p)) hold for every x or for none
+    h = Permutation.from_cycles("(1,3)", n)
+    ident = Permutation.identity(n)
+    for word in ((x, (a, 1), x, (h, 1)), (x, (a, 1), x, (a, -1))):
+        assert relator_solutions(n, [word]) == _solutions_by_scan(n, [word])
+    assert relator_solutions(n, [(x, (ident, 1), x_inv, (ident, -1))]) == sym
+    assert relator_solutions(n, [(x, (ident, 1), x_inv, (h, 1))]) == []
+    assert relator_solutions(n, [(x, (h, 1), x_inv, (ident, 1))]) == []
+    with pytest.raises(ValueError):
+        relator_solutions(n, [(x, (a, 1), x_inv, (ident.extend(4), -1))])
+    one = Permutation.identity(1)
+    assert relator_solutions(1, [(x, (one, 1), x_inv, (one, -1))]) == [one]
+
+
+def test_equivariance_relators_match_a_scan_of_the_symmetric_group():
+    """Relators x^e g^f x^-e h^d, which the search propagates instead of
+    scanning: g = h and g != h, every sign, every rotation, alone or next to
+    a braid relator."""
+    rng = random.Random(13)
+    n = 5
+    sym = oracles.all_permutations(n)
+    x, x_inv = (None, 1), (None, -1)
+    nonempty = 0
+    for _ in range(300):
+        # most relators hold at x0, so that many sets have solutions
+        x0 = rng.choice(sym)
+        relators = []
+        for _ in range(rng.randint(1, 3)):
+            g = rng.choice(sym)
+            e, f, d = (rng.choice([1, -1]) for _ in range(3))
+            # x0^e g^f x0^-e h^d = 1, h = g, or any h
+            planted = (x0**e * g**f * x0**-e) ** -d
+            h = rng.choice([planted, planted, g, rng.choice(sym)])
+            word = [(None, e), (g, f), (None, -e), (h, d)]
+            r = rng.randrange(4)
+            relators.append(tuple(word[r:] + word[:r]))
+        if rng.random() < 0.5:
+            a = rng.choice([x0, rng.choice(sym)])
+            braid = ((a, 1), x, (a, 1), x_inv, (a, -1), x_inv)
+            relators.insert(rng.randrange(len(relators) + 1), braid)
+        expected = _solutions_by_scan(n, relators)
+        nonempty += bool(expected)
+        assert relator_solutions(n, relators) == expected
+        assert relator_solutions(n, relators, first=True) == expected[:1]
+    assert nonempty >= 100
+
+
+def test_a_partner_that_commutes_with_its_base_is_the_base():
+    """a x a = x a x and a x = x a give a = x: past s_2 = s_1 a census
+    chain is constant."""
+    for n in range(1, 8):
+        for a in oracles.conjugacy_class_representatives(n):
+            assert braid_partners(a, (a,)) == [a]
 
 
 def test_conjugation_orbits_of_single_permutations_are_the_classes():
