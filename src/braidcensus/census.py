@@ -31,6 +31,7 @@ from .perm import (
     centralizer_generators,
     conjugation_orbits,
 )
+from .words import alpha_word, perm_image
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,7 @@ def _census_one_class(args):
     k, n, parts = args
     s1 = canonical_of_cycle_type(parts, n)
     gens = centralizer_generators(s1)
+    word = alpha_word(k)
     pool = []
     maps = 0
     for (s2,), s2_orbit in conjugation_orbits(
@@ -86,11 +88,7 @@ def _census_one_class(args):
         # through each member of its orbit.
         maps += s2_orbit * len(chains)
         # census() checks each orbit's representative; validity is C(s1)-invariant.
-        for chain in chains:
-            alpha = chain[0]
-            for g in chain[1:]:
-                alpha = alpha * g
-            pool.append((alpha,))
+        pool.extend((perm_image(word, chain),) for chain in chains)
     # Two maps sharing s1 are conjugate exactly when an element of the
     # centralizer of s1 carries one full-cycle image to the other.  The
     # orbits walk the whole group, so they count every map, not just the
@@ -98,10 +96,7 @@ def _census_one_class(args):
     orbits = conjugation_orbits(pool, gens)
     if sum(size for _, size in orbits) != maps:
         raise RuntimeError("centralizer orbits do not count every map")
-    return [
-        (tuple(s1.images), tuple(alpha.images), size)
-        for (alpha,), size in orbits
-    ]
+    return [(s1.images, alpha.images, size) for (alpha,), size in orbits]
 
 
 def census(k, n, workers=1):
@@ -121,16 +116,13 @@ def census(k, n, workers=1):
             chunks = pool.map(_census_one_class, tasks, chunksize=1)
     else:
         chunks = [_census_one_class(t) for t in tasks]
+    # (s1, alpha) is unique per class: the triples sort as the records do.
     records = []
-    for chunk in chunks:
-        for s1_images, alpha_images, orbit_size in chunk:
-            hom = from_sigma1_alpha(
-                k, n, Permutation(s1_images), Permutation(alpha_images)
-            )
-            if hom is None:
-                raise RuntimeError("census representative fails to rebuild")
-            records.append(CensusRecord(hom=hom, orbit_size=orbit_size))
-    records.sort(key=lambda r: (r.hom.sigma[0].images, r.hom.alpha().images))
+    for s1, alpha, orbit_size in sorted(t for chunk in chunks for t in chunk):
+        hom = from_sigma1_alpha(k, n, Permutation(s1), Permutation(alpha))
+        if hom is None:
+            raise RuntimeError("census representative fails to rebuild")
+        records.append(CensusRecord(hom=hom, orbit_size=orbit_size))
     return records
 
 

@@ -13,8 +13,6 @@ w = u c_1 u^-1, which turns the others into relators in u alone, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import mul
 
 from .census import census
 from .perm import (
@@ -22,9 +20,10 @@ from .perm import (
     GeneratedGroup,
     centralizer_generators,
     conjugation_orbits,
+    integer,
     relator_solutions,
 )
-from .words import braid_relations, inverse
+from .words import braid_relations, inverse, perm_image
 
 
 def generator_words(k):
@@ -101,12 +100,12 @@ class CommutatorHom:
     @classmethod
     def from_json(cls, data):
         return cls(
-            int(data["k"]),
-            int(data["n"]),
-            Permutation(data["u"]),
-            Permutation(data["v"]),
-            Permutation(data["w"]),
-            tuple(Permutation(ci) for ci in data["c"]),
+            integer(data["k"]),
+            integer(data["n"]),
+            Permutation(map(integer, data["u"])),
+            Permutation(map(integer, data["v"])),
+            Permutation(map(integer, data["w"])),
+            tuple(Permutation(map(integer, ci)) for ci in data["c"]),
         )
 
 
@@ -143,15 +142,8 @@ def _relations(k):
 def _relations_report(k, u, v, w, c):
     """Check the defining relations; returns (ok, first failing name)."""
     images = (u, v, w) + tuple(c)
-    inverses = [g.inv() for g in images]
-
-    def value(word):
-        return reduce(
-            mul, [images[g - 1] if g > 0 else inverses[-g - 1] for g in word]
-        )
-
     for name, lhs, rhs in _relations(k):
-        if value(lhs) != value(rhs):
+        if perm_image(lhs, images) != perm_image(rhs, images):
             return False, name
     return True, ""
 

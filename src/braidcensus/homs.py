@@ -8,11 +8,9 @@ checked on construction unless explicitly deferred.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import mul
 
-from .perm import GeneratedGroup, Permutation, tuple_conjugacy_witness
-from .words import braid_relations, perm_image
+from .perm import GeneratedGroup, Permutation, integer, tuple_conjugacy_witness
+from .words import alpha_word, braid_relations, perm_image
 
 
 @dataclass(frozen=True)
@@ -34,12 +32,8 @@ class BraidHom:
             raise ValueError("generator images violate the braid relations")
 
     def satisfies_relations(self):
-        s = self.sigma
-
-        def image(w):
-            return reduce(mul, [s[x - 1] for x in w])
-
-        return all(image(lhs) == image(rhs) for lhs, rhs in braid_relations(self.k))
+        """Whether both sides of each ``words.braid_relations`` pair agree."""
+        return all(self(lhs) == self(rhs) for lhs, rhs in braid_relations(self.k))
 
     def __call__(self, w):
         return perm_image(w, self.sigma)
@@ -49,10 +43,7 @@ class BraidHom:
 
     def alpha(self):
         """Image of the full cycle: product of all generator images in order."""
-        result = Permutation.identity(self.n)
-        for g in self.sigma:
-            result = result * g
-        return result
+        return self(alpha_word(self.k))
 
     def beta(self):
         return self.alpha() * self.sigma[0]
@@ -87,9 +78,9 @@ class BraidHom:
     @classmethod
     def from_json(cls, data):
         return cls(
-            int(data["k"]),
-            int(data["n"]),
-            tuple(Permutation(im) for im in data["sigma"]),
+            integer(data["k"]),
+            integer(data["n"]),
+            tuple(Permutation(map(integer, im)) for im in data["sigma"]),
         )
 
 
@@ -103,10 +94,7 @@ def from_sigma1_alpha(k, n, sigma1, alpha):
     sigma = [sigma1]
     for _ in range(k - 2):
         sigma.append(sigma[-1].conj(alpha))
-    product = Permutation.identity(n)
-    for g in sigma:
-        product = product * g
-    if product != alpha:
+    if perm_image(alpha_word(k), sigma) != alpha:
         return None
     try:
         return BraidHom(k, n, tuple(sigma))

@@ -13,6 +13,13 @@ import re
 from dataclasses import dataclass
 
 
+def integer(x):
+    """x if it is an int; ValueError for a bool, a float or a string."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError("expected an integer, got %r" % (x,))
+    return x
+
+
 class Permutation:
     """A bijection of {1..n}, 1-indexed."""
 

@@ -8,13 +8,14 @@ exactly when it represents the identity braid.
 
 from __future__ import annotations
 
-import math
+from functools import reduce
+from operator import mul
 
-from .perm import Permutation
+from .perm import Permutation, integer
 
 
 def word(letters):
-    w = tuple(int(x) for x in letters)
+    w = tuple(map(integer, letters))
     if any(x == 0 for x in w):
         raise ValueError("word letters must be nonzero")
     return w
@@ -112,31 +113,23 @@ def words_equal(w1, w2):
 
 
 def perm_image(w, images):
-    """Image of a word under a homomorphism given on the generators.
+    """Image of a word under the map that sends generator i to images[i-1]:
+    the one evaluator of words in this package.
 
-    images[i-1] is the image of generator i; the word g1 g2 ... maps to
-    images(g1) * images(g2) * ... with (a * b)(x) = a(b(x)).
-    """
+    g1 g2 ... maps to images(g1) * images(g2) * ... with (a * b)(x) = a(b(x)),
+    and the empty word to the identity.  A letter 0 or beyond +-len(images),
+    or an empty list of images, is a ValueError."""
     if not images:
         raise ValueError("need at least one generator image")
-    result = Permutation.identity(images[0].degree)
-    for x in w:
-        if not 1 <= abs(x) <= len(images):
-            raise ValueError(
-                "letter %d names no generator: |letter| must be in 1..%d"
-                % (x, len(images))
-            )
-        g = images[abs(x) - 1]
-        result = result * (g if x > 0 else g.inv())
-    return result
-
-
-def strand_permutation(w, k):
-    """Image under the map sending generator i to the transposition (i, i+1)."""
-    images = [
-        Permutation.from_cycles([(i, i + 1)], k) for i in range(1, k)
-    ]
-    return perm_image(w, images)
+    if not w:
+        return Permutation.identity(images[0].degree)
+    m = len(images)
+    if 0 in w or max(map(abs, w)) > m:
+        bad = next(x for x in w if not 1 <= abs(x) <= m)
+        raise ValueError(
+            "letter %d names no generator: |letter| must be in 1..%d" % (bad, m)
+        )
+    return reduce(mul, [images[x - 1] if x > 0 else images[-x - 1].inv() for x in w])
 
 
 # Distinguished words on k strands.

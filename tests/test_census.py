@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -163,3 +164,29 @@ def test_census_record_json_round_trip(census_cache, data):
     hom = BraidHom.from_json(payload["hom"])
     assert hom == record.hom
     assert CensusRecord(hom, payload["orbit_size"]).to_json() == payload
+
+
+# The package attribute braidcensus.census is the function, so the module
+# is taken from sys.modules.
+CENSUS_MODULE = sys.modules["braidcensus.census"]
+
+
+def test_a_lost_chain_breaks_the_orbit_count(monkeypatch):
+    """Past sigma_2 every chain is counted, so a partner search that drops a
+    partner leaves the centralizer orbits covering more maps than were
+    found."""
+    partners = CENSUS_MODULE.braid_partners
+
+    def all_but_the_last(a, commuting=(), symmetry=None):
+        found = partners(a, commuting, symmetry=symmetry)
+        return found[:-1] if commuting else found
+
+    monkeypatch.setattr(CENSUS_MODULE, "braid_partners", all_but_the_last)
+    with pytest.raises(RuntimeError, match="centralizer orbits do not count"):
+        census(4, 6)
+
+
+def test_a_representative_that_does_not_rebuild_is_an_error(monkeypatch):
+    monkeypatch.setattr(CENSUS_MODULE, "from_sigma1_alpha", lambda *args: None)
+    with pytest.raises(RuntimeError, match="fails to rebuild"):
+        census(3, 3)

@@ -7,6 +7,7 @@ import json
 import multiprocessing
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -14,9 +15,10 @@ import pytest
 
 import braidcensus
 from braidcensus import cli
-from braidcensus.homs import standard_hom
+from braidcensus.homs import five_strand_six_points, standard_hom
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 HOM_FILE = str(GOLDEN / "fivesix_hom.json")
 
 
@@ -198,9 +200,9 @@ def test_one_parser_serves_consecutive_commands(capsys):
     assert (info.misses, info.hits) == (1, 3)
 
 
-def _three_strand_file(tmp_path):
+def _three_strand_file(tmp_path, **changes):
     path = tmp_path / "three.json"
-    path.write_text(json.dumps(standard_hom(3).to_json()))
+    path.write_text(json.dumps(dict(standard_hom(3).to_json(), **changes)))
     return str(path)
 
 
@@ -216,6 +218,10 @@ def _three_strand_file(tmp_path):
         lambda tmp: ["retract", _three_strand_file(tmp), "2"],
         lambda tmp: ["cohomology", "exceptional6", "5", "2"],
         lambda tmp: ["cohomology", "fivesix", "7", "2"],
+        lambda tmp: ["hom", _three_strand_file(tmp), "--word", "[1.5]"],
+        lambda tmp: ["hom", _three_strand_file(tmp), "--word", "[true, 2]"],
+        lambda tmp: ["hom", _three_strand_file(tmp, k=3.9)],
+        lambda tmp: ["hom", _three_strand_file(tmp, sigma=[[2, 1, 3], [1, 3, 2.7]])],
     ],
     ids=[
         "census-n-0",
@@ -227,6 +233,10 @@ def _three_strand_file(tmp_path):
         "retract-three-strands",
         "exceptional6-on-5-points",
         "fivesix-on-7-points",
+        "float-letter",
+        "bool-letter",
+        "float-strand-count",
+        "float-image",
     ],
 )
 def test_bad_input_gets_one_line_and_status_2(argv, tmp_path, capsys):
@@ -277,3 +287,23 @@ def test_workers_are_clamped_to_the_cpu_count(monkeypatch):
     assert started == [3]
     assert chunksizes == [1]
     assert out == _run(["census", "3", "5"])[1]
+
+
+def test_the_readme_command_line_examples_run(tmp_path, monkeypatch):
+    """The command block of README's "Command line" section: its echoed map
+    is five_strand_six_points(), as the text says, and each command exits 0."""
+    section = README.read_text().split("## Command line", 1)[1]
+    lines = section.split("```")[1].strip().splitlines()
+    monkeypatch.chdir(tmp_path)
+    echoed = [line for line in lines if line.startswith("echo ")]
+    assert len(echoed) == 1
+    _, text, redirect, path = shlex.split(echoed[0])
+    assert redirect == ">"
+    pathlib.Path(path).write_text(text)
+    assert json.loads(text) == five_strand_six_points().to_json()
+    commands = [line for line in lines if line.startswith("braidcensus ")]
+    assert len(commands) == len(lines) - 1
+    for line in commands:
+        rc, out = _run(shlex.split(line)[1:])
+        assert rc == 0, line
+        assert json.loads(out)["command"] == shlex.split(line)[1]

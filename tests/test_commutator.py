@@ -1,5 +1,7 @@
 """Unit tests for homomorphisms of the commutator subgroup."""
 
+import sys
+
 import pytest
 
 import oracles
@@ -123,3 +125,19 @@ def test_u_search_finds_exactly_the_u_images_that_pass_the_relations(k, n):
             )[0]
         ]
         assert relator_solutions(n, _u_relators(c)) == expected
+
+
+def test_an_invalid_u_image_from_the_search_is_an_error(monkeypatch):
+    """Every u the relator search returns is checked against the defining
+    relations; one that is not a solution stops the census."""
+    module = sys.modules["braidcensus.commutator"]
+    solutions = module.relator_solutions
+
+    def with_a_stray_u(n, relators):
+        found = solutions(n, relators)
+        stray = next(u for u in oracles.all_permutations(n) if u not in found)
+        return found + [stray]
+
+    monkeypatch.setattr(module, "relator_solutions", with_a_stray_u)
+    with pytest.raises(RuntimeError, match="invalid u-image"):
+        commutator_census(5, 5)

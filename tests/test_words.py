@@ -6,6 +6,7 @@ import random
 import pytest
 
 import oracles
+from braidcensus.homs import standard_hom
 from braidcensus.perm import Permutation
 from braidcensus.words import (
     alpha_word,
@@ -21,10 +22,10 @@ from braidcensus.words import (
     handle_reduce,
     inverse,
     is_trivial,
+    perm_image,
     power,
     progression_degrees,
     special_params,
-    strand_permutation,
     word,
     words_equal,
 )
@@ -73,7 +74,7 @@ def test_reduction_oracle_agrees_with_the_symmetric_projection():
         w = tuple(rng.choice(letters) for _ in range(rng.randrange(1, 12)))
         assert is_trivial(w + inverse(w))
         if is_trivial(w):
-            assert strand_permutation(w, k).is_identity()
+            assert standard_hom(k)(w).is_identity()
     for _ in range(50):
         w = tuple(rng.choice(letters) for _ in range(8))
         assert oracles.exponent_sum(handle_reduce(w)) == oracles.exponent_sum(w)
@@ -92,13 +93,13 @@ def test_handle_reduction_stops_at_its_step_bound():
 
 def test_full_cycle_and_band_projections():
     for k in (3, 4, 5, 6):
-        assert strand_permutation(alpha_word(k), k) == Permutation.from_cycles(
+        assert standard_hom(k)(alpha_word(k)) == Permutation.from_cycles(
             [tuple(range(1, k + 1))], k
         )
-        assert strand_permutation(beta_word(k), k) == Permutation.from_cycles(
+        assert standard_hom(k)(beta_word(k)) == Permutation.from_cycles(
             [(1,) + tuple(range(3, k + 1))], k
         )
-    assert strand_permutation(band_word(2, 4), 5) == Permutation.from_cycles(
+    assert standard_hom(5)(band_word(2, 4)) == Permutation.from_cycles(
         [(2, 3, 4)], 5
     )
     assert band_beta_word(2, 4) == band_word(2, 4) + (2,)
@@ -151,6 +152,44 @@ def test_cabling_words():
 
 
 def test_word_helper_validates_letters():
-    with pytest.raises(ValueError):
-        word((0,))
+    for bad in ((0,), (1.5,), (True, 2), ("1",)):
+        with pytest.raises(ValueError):
+            word(bad)
     assert word((1, -2)) == (1, -2)
+
+
+def _walk(w, images, n):
+    """The image of w, point by point: each point passes through the
+    letters from the right, an inverse letter by a lookup of its preimage."""
+    out = []
+    for x in range(1, n + 1):
+        for letter in reversed(w):
+            g = images[abs(letter) - 1].images
+            x = g[x - 1] if letter > 0 else g.index(x) + 1
+        out.append(x)
+    return Permutation(out)
+
+
+def test_perm_image_is_the_pointwise_walk():
+    rng = random.Random(14)
+    points = list(range(1, 7))
+    for _ in range(300):
+        images = [
+            Permutation(rng.sample(points, 6)) for _ in range(rng.randint(1, 4))
+        ]
+        m = len(images)
+        letters = [g for g in range(-m, m + 1) if g]
+        w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 8)))
+        assert perm_image(w, images) == _walk(w, images, 6), (w, images)
+    assert perm_image((), images) == Permutation.identity(6)
+    for bad in ((0,), (1, m + 1), (-(m + 1), 1)):
+        with pytest.raises(ValueError, match="names no generator"):
+            perm_image(bad, images)
+    with pytest.raises(ValueError, match="at least one generator image"):
+        perm_image((), [])
+
+
+def test_full_cycle_images_are_the_walk_on_alpha_and_beta():
+    for h in oracles.named_homs():
+        assert h.alpha() == _walk(alpha_word(h.k), h.sigma, h.n), h.to_json()
+        assert h.beta() == _walk(beta_word(h.k), h.sigma, h.n), h.to_json()
