@@ -10,17 +10,19 @@ onto the other, so the chains form a tree with one leaf per class: the
 partners of a prefix (s_1, ..., s_i) are split into orbits under the
 centralizer C(G_i) of G_i = <s_1, ..., s_i>, which maps them to
 themselves, and only the least member of each orbit is extended, with its
-weight multiplied by the orbit size.  For s_2 the group is C(s), and the
-search for s_2 (``symmetry=s``) skips partners that cannot be the least
-of their orbit.  Past s_2 = s nothing is searched: an s_3 that braids with
-s and commutes with it is s (s s_3 s = s_3 s s_3 and s s_3 = s_3 s give
-s = s_3), and so on, so the constant chain (s, ..., s) is the only chain
-through it.  The centralizers come from ``perm.tuple_centralizer`` and are
-computed lazily: a partner fixed by C(G_i), or the only partner, leaves
-C(G_{i+1}) = C(G_i).  At a leaf the weight is the number of maps in the
-class, so it times |C(G)| must be |C(s)|; the class is recorded by the
-least conjugate under C(s) of its full-cycle image a = s_1 ... s_{k-1},
-found by ``perm.least_conjugate`` without walking the orbit of a.
+weight multiplied by the orbit size.  The centralizers come from
+``perm.tuple_centralizer``: C(s) once per cycle type, the rest lazily, as
+a partner fixed by C(G_i), or the only partner, leaves C(G_{i+1}) = C(G_i).
+For s_2 the group is C(s), and the search for s_2 (``symmetry=`` C(s))
+skips partners that cannot be the least of their orbit; the survivors are
+split by the small generating set of ``perm.centralizer_generators``.  Past
+s_2 = s nothing is searched: an s_3 that braids with s and commutes with it
+is s (s s_3 s = s_3 s s_3 and s s_3 = s_3 s give s = s_3), and so on, so
+the constant chain (s, ..., s) is the only chain through it.  At a leaf
+the weight is the number of maps in the class, so it times |C(G)| must be
+|C(s)|; the class is recorded by the least conjugate under C(s) of its
+full-cycle image a = s_1 ... s_{k-1}, found by ``perm.least_conjugate``
+from the point table of C(G) without walking the orbit of a.
 census(8,13) takes 2.0 to 2.6 s and census(7,14) 5.3 to 6.1 s in process,
 each in 22 MB (2-CPU host, Python 3.11.7).
 """
@@ -83,7 +85,7 @@ def _census_one_class(args):
     # of the prefix: (prefix, weight, its centralizer or None until needed).
     stack = []
     for (s2,), size in conjugation_orbits(
-        [(x,) for x in braid_partners(s1, symmetry=s1)],
+        [(x,) for x in braid_partners(s1, symmetry=root)],
         centralizer_generators(s1),
     ):
         if s2 == s1:
@@ -131,9 +133,7 @@ def census(k, n, workers=1):
         raise ValueError("k must be >= 3")
     if n < 1:
         raise ValueError("n must be >= 1")
-    tasks = [
-        (k, n, tuple(p for p in parts if p >= 2)) for parts in all_partitions(n)
-    ]
+    tasks = [(k, n, parts) for parts in all_partitions(n)]
     if workers > 1:
         # One cycle type per task: the slowest cycle types come last, and
         # default chunks would hand them all to one worker.

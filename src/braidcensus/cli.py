@@ -45,12 +45,10 @@ def _at_least(low):
     return integer
 
 
-def _emit(payload, stream=None):
+def _emit(payload):
     payload = dict(payload)
     payload["schema"] = SCHEMA
-    (stream or sys.stdout).write(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    )
+    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _cmd_census(args):

@@ -251,11 +251,9 @@ def six_strand_ten_points():
     return BraidHom(6, 10, tuple(_cyc(s, 10) for s in specs))
 
 
-def strand_collapse_words(k=4):
+def strand_collapse_words():
     """Words realizing the strand-merging map from four to three strands:
     the outer generators merge, the middle one survives."""
-    if k != 4:
-        raise ValueError("only the four-strand collapse is provided")
     return [(1,), (2,), (1,)]
 
 

@@ -283,30 +283,24 @@ def relator_solutions(n, relators, first=False, symmetry=None):
     Each branch defines the least point without an image and tries its
     images in increasing order, so solutions come out sorted.
 
-    With a permutation s as ``symmetry``, every fixed letter must commute
-    with C(s) (else ``ValueError``), so C(s) permutes the solutions, and the
-    result is a sorted subset that holds the least member of each C(s)-orbit
-    (so ``first`` still gives the least solution; McKay, "Isomorph-free
-    exhaustive generation", J. Algorithms 1998).  At a branch point p the
-    least such x has x(p) least in its orbit under the stabilizer in C(s)
-    of p and of the points mapped so far and their images: alone if its
-    s-cycle meets those points, else every point on an untouched s-cycle of
-    its length (fixed points are 1-cycles).  Only that least free point of
-    each orbit is tried.
+    With a ``tuple_centralizer`` C = C(G) as ``symmetry``, every fixed
+    letter must commute with C (else ``ValueError``), so C permutes the
+    solutions, and the result is a sorted subset that holds the least
+    member of each C-orbit (so ``first`` still gives the least solution;
+    McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998).  At
+    a branch point p the least such x has x(p) least in its orbit under the
+    stabilizer in C of p and of the points mapped so far and their images:
+    alone if its copy (its G-orbit) holds one of those points, else every
+    point of an untouched copy with its key in C's point table.  Only that
+    least free point of each orbit is tried.
     """
     if symmetry is not None:
-        if symmetry.degree != n:
+        copy_of, orbit_of = symmetry.copy_of, symmetry.orbit_of
+        if len(copy_of) != n:
             raise ValueError("degree mismatch")
-        gens = centralizer_generators(symmetry)
         letters = {g for word in relators for g, _ in word if g is not None}
-        if any(g * h != h * g for g in letters for h in gens):
-            raise ValueError("a fixed letter does not commute with C(symmetry)")
-        # Each point's s-cycle, named by its least point, and its length.
-        cycle_of = [0] * n
-        length = [0] * n
-        for c in symmetry.cycles(include_fixed=True):
-            for y in c:
-                cycle_of[y - 1], length[y - 1] = c[0], len(c)
+        if any(g * h != h * g for g in letters for h in symmetry.generators):
+            raise ValueError("a fixed letter does not commute with C(G)")
 
     img = [-1] * n  # x on {0..n-1}; -1 where not yet chosen
     pre = [-1] * n  # x^-1 likewise
@@ -418,18 +412,18 @@ def relator_solutions(n, relators, first=False, symmetry=None):
             return first
         p = img.index(-1)
         if symmetry is not None:
-            touched = {cycle_of[p]}
+            touched = {copy_of[p]}
             touched.update(
-                cycle_of[y] for y in range(n) if img[y] >= 0 or pre[y] >= 0
+                copy_of[y] for y in range(n) if img[y] >= 0 or pre[y] >= 0
             )
-            untouched_tried = set()
+            tried = set()
         for q in range(n):
             if pre[q] >= 0:
                 continue
-            if symmetry is not None and cycle_of[q] not in touched:
-                if length[q] in untouched_tried:
+            if symmetry is not None and copy_of[q] not in touched:
+                if orbit_of[q] in tried:
                     continue
-                untouched_tried.add(length[q])
+                tried.add(orbit_of[q])
             mark = len(trail)
             if define(p, q) and search():
                 return True
@@ -521,12 +515,18 @@ class TupleCentralizer:
     """The centralizer C(G) in S(n) of a permutation group G, as
     ``tuple_centralizer`` finds it: per class of isomorphic orbits of G,
     its orbits (copies) as point sequences aligned point by point with the
-    first, and C_m as maps of the positions of the first copy."""
+    first, and C_m as maps of the positions of the first copy.  Entry x - 1
+    of ``copy_of`` names the copy that holds x by its first point, and of
+    ``orbit_of`` the C(G)-orbit of x (the points of every copy of its class
+    at the C_m-orbit of its position) by its point in the first copy at the
+    least such position."""
 
     copies: tuple
     constituents: tuple
     order: int
     generators: tuple
+    copy_of: tuple
+    orbit_of: tuple
 
 
 def _equivariant(edges, y, m):
@@ -591,9 +591,14 @@ def tuple_centralizer(perms):
             classes.append(([tuple(points)], edges, cm))
     order = 1
     gens = []
+    copy_of, orbit_of = [0] * n, [0] * n
     for copies, _, cm in classes:
         t = len(copies)
         order *= len(cm) ** t * math.factorial(t)
+        keys = [copies[0][min(orbit)] for orbit in zip(*cm)]
+        for copy in copies:
+            for x, key in zip(copy, keys):
+                copy_of[x - 1], orbit_of[x - 1] = copy[0], key
         # Generators of C_m: each element that the ones taken before it do
         # not generate, which is when they do not carry position 0 to its
         # image (C_m is semiregular).
@@ -619,6 +624,8 @@ def tuple_centralizer(perms):
         constituents=tuple(cm for _, _, cm in classes),
         order=order,
         generators=tuple(gens),
+        copy_of=tuple(copy_of),
+        orbit_of=tuple(orbit_of),
     )
 
 
@@ -635,9 +642,9 @@ def least_conjugate(a, s, centralizer):
     that of a(h(p)).  Only the partial maps with the least T so far are
     kept.  Two maps h and c h with c in C(G) give the same image, so at a
     branch point one q is tried per orbit of the stabilizer in C(G) of
-    every point h maps onto: a point of an orbit of G that h already maps
-    onto is alone in its orbit, since C_m is semiregular; any other is
-    named by its class and the C_m-orbit of its position.
+    every point h maps onto, as ``centralizer``'s point table names them:
+    a point of a copy that h already maps onto is alone in its orbit; any
+    other goes by its key.
     """
     n = a.degree
     a_im = (0,) + a.images
@@ -646,13 +653,7 @@ def least_conjugate(a, s, centralizer):
         for i, x in enumerate(c):
             cycle[x], at[x] = c, i
     length = list(map(len, cycle))
-    copy_of, orbit_of = [None] * (n + 1), [None] * (n + 1)
-    for ci, cm in enumerate(centralizer.constituents):
-        # A position's C_m-orbit is named by its least position.
-        keys = tuple(map(min, zip(*cm)))
-        for j, copy in enumerate(centralizer.copies[ci]):
-            for x, key in zip(copy, keys):
-                copy_of[x], orbit_of[x] = (ci, j), (ci, key)
+    copy_of, orbit_of = centralizer.copy_of, centralizer.orbit_of
 
     def assign(h, h_inv, p, q):
         """h(p) = q, and so on along the s-cycles of p and q."""
@@ -669,15 +670,15 @@ def least_conjugate(a, s, centralizer):
             if h[p]:
                 branches = [(h, h_inv)]
             else:
-                touched = {copy_of[y] for y in range(1, n + 1) if h_inv[y]}
+                touched = {copy_of[y - 1] for y in range(1, n + 1) if h_inv[y]}
                 tried, branches = set(), []
                 for q in range(1, n + 1):
                     if h_inv[q] or length[q] != length[p]:
                         continue
-                    orbit = q if copy_of[q] in touched else orbit_of[q]
-                    if orbit in tried:
-                        continue
-                    tried.add(orbit)
+                    if copy_of[q - 1] not in touched:
+                        if orbit_of[q - 1] in tried:
+                            continue
+                        tried.add(orbit_of[q - 1])
                     branch = (h[:], h_inv[:])
                     assign(*branch, p, q)
                     branches.append(branch)
@@ -710,8 +711,6 @@ class GeneratedGroup:
     generators: tuple
 
     def __post_init__(self):
-        if not self.generators:
-            raise ValueError("need at least one generator")
         if any(g.degree != self.degree for g in self.generators):
             raise ValueError("generator degree mismatch")
 

@@ -13,10 +13,9 @@ from braidcensus.census import census
 def census_cache():
     cache = {}
 
-    def get(k, n, workers=1):
-        key = (k, n)
-        if key not in cache:
-            cache[key] = census(k, n, workers=workers)
-        return cache[key]
+    def get(k, n):
+        if (k, n) not in cache:
+            cache[k, n] = census(k, n)
+        return cache[k, n]
 
     return get

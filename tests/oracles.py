@@ -36,6 +36,7 @@ from braidcensus.perm import (
     canonical_of_cycle_type,
     centralizer_generators,
     conjugation_orbits,
+    tuple_centralizer,
 )
 from braidcensus.words import alpha_word, beta_word, perm_image, power
 
@@ -152,11 +153,10 @@ def walking_census(k, n):
     for parts in all_partitions(n):
         s1 = canonical_of_cycle_type(parts, n)
         gens = centralizer_generators(s1)
+        partners = braid_partners(s1, symmetry=tuple_centralizer((s1,)))
         pool = []
         maps = 0
-        for (s2,), s2_orbit in conjugation_orbits(
-            [(x,) for x in braid_partners(s1, symmetry=s1)], gens
-        ):
+        for (s2,), s2_orbit in conjugation_orbits([(x,) for x in partners], gens):
             if s2 == s1:
                 chains = [(s1,) * (k - 1)]
             else:

@@ -158,7 +158,7 @@ def test_five_strand_map_restricts_the_exceptional_six_strand_map():
 
 
 def test_strand_collapse_words_induce_a_three_strand_map():
-    words = strand_collapse_words(4)
+    words = strand_collapse_words()
     collapsed = oracles.compose_word_map(standard_hom(3), words)
     assert collapsed.k == 4
     assert not collapsed.is_cyclic()

@@ -186,10 +186,18 @@ def test_tuple_centralizer_matches_brute_force():
             cent = tuple_centralizer(perms)
             expected = _brute_centralizer(perms)
             assert cent.order == len(expected), perms
-            gens = cent.generators or (Permutation.identity(n),)
-            assert GeneratedGroup(n, gens).elements() == expected, perms
+            assert GeneratedGroup(n, cent.generators).elements() == expected, perms
             points = [x for cls in cent.copies for copy in cls for x in copy]
             assert sorted(points) == list(range(1, n + 1))
+            # The point table: each point lies in the copy it names, and two
+            # points share a key exactly when the centralizer joins them.
+            holder = {copy[0]: copy for cls in cent.copies for copy in cls}
+            for x in range(1, n + 1):
+                assert x in holder[cent.copy_of[x - 1]], perms
+            joined = {(x, c(x)) for c in expected for x in range(1, n + 1)}
+            for x, y in itertools.product(range(1, n + 1), repeat=2):
+                same = cent.orbit_of[x - 1] == cent.orbit_of[y - 1]
+                assert same == ((x, y) in joined), perms
             # Every copy, and every image of the first under C_m, is aligned
             # with the first copy by a map that commutes with the tuple.
             for copies, cm in zip(cent.copies, cent.constituents):
@@ -209,9 +217,9 @@ def test_tuple_centralizer_of_one_permutation_is_its_centralizer():
         for a in oracles.conjugacy_class_representatives(n):
             cent = tuple_centralizer((a,))
             assert cent.order == oracles.centralizer_order(a)
-            assert GeneratedGroup(
-                n, cent.generators or (Permutation.identity(n),)
-            ).elements() == _brute_centralizer((a,))
+            assert GeneratedGroup(n, cent.generators).elements() == (
+                _brute_centralizer((a,))
+            )
 
 
 def test_least_conjugate_is_the_least_of_the_centralizer_orbit():
@@ -229,6 +237,19 @@ def test_least_conjugate_is_the_least_of_the_centralizer_orbit():
                     a = rng.choice(_copied_tuple(rng, n))
                 found = least_conjugate(a, s, tuple_centralizer((s, a)))
                 assert found == min(a.conj(g) for g in centralizer), (s, a)
+
+
+def test_least_conjugate_checks_its_conjugator(monkeypatch):
+    """The least image must be the conjugate by the map the search built;
+    a conjugation that disagrees with the search is an error, not an
+    answer."""
+    s = Permutation.from_cycles("(1,2)(3,4)", 4)
+    a = Permutation.from_cycles("(1,4)", 4)
+    cent = tuple_centralizer((s, a))
+    assert least_conjugate(a, s, cent) == Permutation.from_cycles("(2,3)", 4)
+    monkeypatch.setattr(Permutation, "conj", lambda self, g: self)
+    with pytest.raises(RuntimeError, match="not a conjugate"):
+        least_conjugate(a, s, cent)
 
 
 def test_generated_group_orbits_order_and_primitivity():
@@ -257,6 +278,11 @@ def test_generated_group_orbits_order_and_primitivity():
         [4],
         [5],
     ]
+    trivial = GeneratedGroup(3, ())
+    assert trivial.orbits() == [(1,), (2,), (3,)]
+    assert trivial.order() == 1
+    with pytest.raises(ValueError, match="degree mismatch"):
+        GeneratedGroup(3, (Permutation.identity(4),))
 
 
 def _equal_block_partitions(points, d):
@@ -363,30 +389,51 @@ def test_braid_partners_match_a_scan_of_the_symmetric_group():
                 ]
 
 
-def _assert_orbit_leasts_kept(a, commuting=()):
-    """The symmetric search gives a sorted subset of the partners that holds
-    the least member of every C(a)-orbit."""
+def _assert_orbit_leasts_kept(a, commuting=(), symmetry=None):
+    """The symmetric search under ``symmetry`` (by default the centralizer
+    of a) gives a sorted subset of the partners that holds the least member
+    of every orbit of that centralizer; returns how many it skips."""
+    if symmetry is None:
+        symmetry = tuple_centralizer((a,))
     full = braid_partners(a, commuting)
-    cut = braid_partners(a, commuting, symmetry=a)
+    cut = braid_partners(a, commuting, symmetry=symmetry)
     assert cut == sorted(cut)
     assert set(cut) <= set(full)
-    gens = centralizer_generators(a)
-    if not gens:
+    if not symmetry.generators:
         assert cut == full
-        return
-    orbits = conjugation_orbits([(x,) for x in full], gens)
+        return 0
+    orbits = conjugation_orbits([(x,) for x in full], symmetry.generators)
     assert {least for (least,), _ in orbits} <= set(cut)
+    return len(full) - len(cut)
 
 
 def test_symmetric_search_keeps_the_least_member_of_every_orbit():
     x, x_inv = (None, 1), (None, -1)
+    skipped = 0
     for n in range(1, 8):
         for a in oracles.conjugacy_class_representatives(n):
+            root = tuple_centralizer((a,))
             _assert_orbit_leasts_kept(a)
             braiding = [((a, 1), x, (a, 1), x_inv, (a, -1), x_inv)]
             assert relator_solutions(
-                n, braiding, first=True, symmetry=a
+                n, braiding, first=True, symmetry=root
             ) == relator_solutions(n, braiding, first=True)
+            if n > 6:
+                continue
+            # the census's level-3 search, s3 braiding with s2 and commuting
+            # with a, under the centralizer of the prefix (a, s2)
+            for s2 in braid_partners(a, symmetry=root):
+                cent = tuple_centralizer((a, s2))
+                skipped += _assert_orbit_leasts_kept(s2, (a,), symmetry=cent)
+    # pairs whose group has isomorphic orbits, where C_m need not be
+    # transitive on an orbit, so a class holds several keys
+    rng = random.Random(23)
+    for n in range(2, 7):
+        for _ in range(40):
+            a, c = (_copied_tuple(rng, n) * 2)[:2]
+            cent = tuple_centralizer((a, c))
+            skipped += _assert_orbit_leasts_kept(a, (c,), symmetry=cent)
+    assert skipped > 0
     # a fixed letter that every element of C(b) commutes with
     b = Permutation.from_cycles("(1,2)(3,4,5)", 6)
     _assert_orbit_leasts_kept(b, (Permutation.from_cycles("(3,4,5)", 6),))
@@ -394,14 +441,17 @@ def test_symmetric_search_keeps_the_least_member_of_every_orbit():
 
 def test_symmetric_search_refuses_letters_outside_the_centralizer():
     a = Permutation.from_cycles("(1,2)(3,4)", 5)
-    with pytest.raises(ValueError):
-        braid_partners(a, (Permutation.from_cycles("(1,3)", 5),), symmetry=a)
+    cent = tuple_centralizer((a,))
+    with pytest.raises(ValueError, match="commute"):
+        braid_partners(a, (Permutation.from_cycles("(1,3)", 5),), symmetry=cent)
     # (1,2) commutes with a but not with (1,3)(2,4) in C(a), so C(a) does
     # not permute the solutions
-    with pytest.raises(ValueError):
-        braid_partners(a, (Permutation.from_cycles("(1,2)", 5),), symmetry=a)
-    with pytest.raises(ValueError):
-        relator_solutions(5, [((None, 1), (None, 1))], symmetry=a.extend(6))
+    with pytest.raises(ValueError, match="commute"):
+        braid_partners(a, (Permutation.from_cycles("(1,2)", 5),), symmetry=cent)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        relator_solutions(
+            5, [((None, 1), (None, 1))], symmetry=tuple_centralizer((a.extend(6),))
+        )
 
 
 def _evaluate(word, x):

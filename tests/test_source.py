@@ -49,3 +49,38 @@ def test_the_package_and_the_test_oracles_stay_apart():
         imported, defined = _names(path)
         assert imported & tests == set(), path.name
         assert defined & oracles == set(), path.name
+
+
+def test_every_top_level_definition_is_used():
+    """Each function and class defined at the top level of the package is
+    named somewhere outside its own definition: in the package, the tests or
+    the benchmark.  A helper that nothing names any more is dead code."""
+    root = TESTS.parent
+    files = sorted(SRC.glob("*.py"))
+    files += sorted(TESTS.glob("*.py")) + sorted((root / "bench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
+
+    def names(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.alias):
+                yield sub.name
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                yield sub.value
+
+    named = {
+        id(node): set(names(node)) for tree in trees.values() for node in tree.body
+    }
+    unused = [
+        "%s:%s" % (path.name, node.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not any(
+            node.name in found for key, found in named.items() if key != id(node)
+        )
+    ]
+    assert unused == []
