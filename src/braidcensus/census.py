@@ -14,11 +14,13 @@ weight multiplied by the orbit size.  The centralizers come from
 ``perm.tuple_centralizer``: C(s) once per cycle type, the rest lazily, as
 a partner fixed by C(G_i), or the only partner, leaves C(G_{i+1}) = C(G_i).
 For s_2 the group is C(s), and the search for s_2 (``symmetry=`` C(s))
-skips partners that cannot be the least of their orbit; the survivors are
-split by the small generating set of ``perm.centralizer_generators``.  Past
-s_2 = s nothing is searched: an s_3 that braids with s and commutes with it
-is s (s s_3 s = s_3 s s_3 and s s_3 = s_3 s give s = s_3), and so on, so
-the constant chain (s, ..., s) is the only chain through it.  At a leaf
+skips partners that cannot be the least of their orbit.  The survivors,
+and every deeper pool of partners, are split by the generators that
+``perm.centralizer_generators`` builds from the centralizer, only when a
+pool needs splitting.  Past s_2 = s nothing is searched: an s_3 that
+braids with s and commutes with it is s (s s_3 s = s_3 s s_3 and
+s s_3 = s_3 s give s = s_3), and so on, so the constant chain
+(s, ..., s) is the only chain through it.  At a leaf
 the weight is the number of maps in the class, so it times |C(G)| must be
 |C(s)|; the class is recorded by the least conjugate under C(s) of its
 full-cycle image a = s_1 ... s_{k-1}, found by ``perm.least_conjugate``
@@ -86,7 +88,7 @@ def _census_one_class(args):
     stack = []
     for (s2,), size in conjugation_orbits(
         [(x,) for x in braid_partners(s1, symmetry=root)],
-        centralizer_generators(s1),
+        centralizer_generators(root),
     ):
         if s2 == s1:
             # s3 braids with s2 = s1 and commutes with s1, so s3 = s1, and
@@ -104,7 +106,9 @@ def _census_one_class(args):
                 continue
             if cent is None:
                 cent = tuple_centralizer(chain)
-            orbits = conjugation_orbits([(x,) for x in pool], cent.generators)
+            orbits = conjugation_orbits(
+                [(x,) for x in pool], centralizer_generators(cent)
+            )
             if sum(size for _, size in orbits) != len(pool):
                 raise RuntimeError("centralizer orbits do not count the partners")
             # A partner fixed by the centralizer leaves it unchanged.

@@ -109,6 +109,10 @@ def _cmd_cohomology(args):
         base = _base_hom(args.base, args.n)
     except ValueError as exc:
         raise InputError("no %s base on %d points: %s" % (args.base, args.n, exc))
+    try:
+        invariants = cohomology.h1_invariants(base, args.r)
+    except ValueError as exc:
+        raise InputError("cannot take H^1 over the %s base: %s" % (args.base, exc))
     _emit(
         {
             "command": "cohomology",
@@ -116,7 +120,7 @@ def _cmd_cohomology(args):
             "strands": base.k,
             "points": base.n,
             "modulus": args.r,
-            "invariants": cohomology.h1_invariants(base, args.r),
+            "invariants": invariants,
         }
     )
 

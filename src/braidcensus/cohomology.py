@@ -14,11 +14,19 @@ A cocycle is stored as a list of m-1 integer vectors of length t.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .homs import BraidHom
 from .retraction import block_map, block_projection
 from .words import braid_relations
+
+
+# The most entries (rows times columns) that ``cocycle_matrix`` builds.  The
+# dense matrix and the copy that ``smith_normal_form`` makes cost about 15
+# bytes an entry: standard 20 (1.3 M entries) peaks at 37 MB of RSS, and
+# cyclic 25 (4.7 M, the largest base let through) at 93 MB.
+MAX_COCYCLE_ENTRIES = 5_000_000
 
 
 def cocycle_matrix(omega):
@@ -29,12 +37,22 @@ def cocycle_matrix(omega):
     of lhs minus those of rhs (Fox, Free differential calculus I, 1953): a
     cocycle takes a word g_1...g_L to sum_j T_{g_1...g_(j-1)} z_{g_j}, where
     T_s permutes coordinates, (T_s h)[i] = h[s^-1(i)], so row i of letter j
-    reads coordinate prefix^-1(i) of z_{g_j}."""
+    reads coordinate prefix^-1(i) of z_{g_j}.
+
+    ``ValueError`` if the matrix would hold more than MAX_COCYCLE_ENTRIES
+    entries: t rows per relation, (m - 1) t columns."""
     m, t = omega.k, omega.n
+    relations = braid_relations(m)
+    entries = len(relations) * t * (m - 1) * t
+    if entries > MAX_COCYCLE_ENTRIES:
+        raise ValueError(
+            "the cocycle matrix of %d strands on %d points would hold %d "
+            "entries, over the limit of %d" % (m, t, entries, MAX_COCYCLE_ENTRIES)
+        )
     # s^-1 on {0..t-1} for each generator image s.
     inverses = [[y - 1 for y in s.inv().images] for s in omega.sigma]
     rows = []
-    for lhs, rhs in braid_relations(m):
+    for lhs, rhs in relations:
         block = [[0] * ((m - 1) * t) for _ in range(t)]
         for sign, w in ((1, lhs), (-1, rhs)):
             prefix_inv = list(range(t))
@@ -198,33 +216,26 @@ def smith_normal_form(M):
     return [A[i][i] for i in range(min(rows, cols))]
 
 
-# The nonzero Smith diagonals (d of M, b of B) of each base homomorphism,
-# keyed by what fixes M and B: the strand count, the point count and the
-# generator images.  Every modulus reads H^1 off the same pair.
-_SMITH_PAIRS = {}
-
-
+@functools.cache
 def _smith_pair(omega):
-    key = (omega.k, omega.n, tuple(s.images for s in omega.sigma))
-    pair = _SMITH_PAIRS.get(key)
-    if pair is None:
-        M = cocycle_matrix(omega)
-        B = coboundary_matrix(omega)
-        # M B = 0 over the nonzero entries: a row of M has at most six, a
-        # row of B at most two.
-        sparse_B = [[(j, x) for j, x in enumerate(row) if x] for row in B]
-        for row in M:
-            total = {}
-            for i, a in enumerate(row):
-                if a:
-                    for j, x in sparse_B[i]:
-                        total[j] = total.get(j, 0) + a * x
-            if any(total.values()):
-                raise RuntimeError("coboundaries are not cocycles")
-        pair = _SMITH_PAIRS[key] = tuple(
-            tuple(x for x in smith_normal_form(A) if x) for A in (M, B)
-        )
-    return pair
+    """The nonzero Smith diagonals (d of M, b of B) of a base homomorphism,
+    cached by what fixes M and B: the strand count, the point count and the
+    generator images, which is exactly ``BraidHom`` equality.  Every
+    modulus reads H^1 off the same pair."""
+    M = cocycle_matrix(omega)
+    B = coboundary_matrix(omega)
+    # M B = 0 over the nonzero entries: a row of M has at most six, a row of
+    # B at most two.
+    sparse_B = [[(j, x) for j, x in enumerate(row) if x] for row in B]
+    for row in M:
+        total = {}
+        for i, a in enumerate(row):
+            if a:
+                for j, x in sparse_B[i]:
+                    total[j] = total.get(j, 0) + a * x
+        if any(total.values()):
+            raise RuntimeError("coboundaries are not cocycles")
+    return tuple(tuple(x for x in smith_normal_form(A) if x) for A in (M, B))
 
 
 def h1_invariants(omega, r):

@@ -22,6 +22,7 @@ from .perm import (
     conjugation_orbits,
     integer,
     relator_solutions,
+    tuple_centralizer,
 )
 from .words import braid_relations, inverse, perm_image
 
@@ -247,7 +248,7 @@ def commutator_census(k, n):
     for c1 in sorted(by_c1):
         # Census chains are pairwise non-conjugate, so each orbit meets the
         # pool in one chain only; its least member is the representative.
-        gens = centralizer_generators(c1)
+        gens = centralizer_generators(tuple_centralizer((c1,)))
         for rep, _ in conjugation_orbits(by_c1[c1], gens):
             chain = (c1,) + rep[:-1]
             u = rep[-1]

@@ -207,7 +207,6 @@ class CycleType(tuple):
 class RComponent:
     """All r-cycles of a permutation, with their joint support."""
 
-    r: int
     cycles: tuple
     support: frozenset
 
@@ -221,7 +220,7 @@ def r_component(p, r):
         raise ValueError("r must be >= 2")
     cycs = tuple(c for c in p.cycles() if len(c) == r)
     supp = frozenset(x for c in cycs for x in c)
-    return RComponent(r=r, cycles=cycs, support=supp)
+    return RComponent(cycles=cycs, support=supp)
 
 
 def tuple_conjugacy_witness(aa, bb):
@@ -299,7 +298,8 @@ def relator_solutions(n, relators, first=False, symmetry=None):
         if len(copy_of) != n:
             raise ValueError("degree mismatch")
         letters = {g for word in relators for g, _ in word if g is not None}
-        if any(g * h != h * g for g in letters for h in symmetry.generators):
+        gens = centralizer_generators(symmetry)
+        if any(g * h != h * g for g in letters for h in gens):
             raise ValueError("a fixed letter does not commute with C(G)")
 
     img = [-1] * n  # x on {0..n-1}; -1 where not yet chosen
@@ -440,42 +440,6 @@ def relator_solutions(n, relators, first=False, symmetry=None):
     return out
 
 
-def centralizer_generators(p):
-    """Generators of the centralizer of p in S(n), at most three per cycle
-    length (fixed points as 1-cycles): on the t cycles of length L, the
-    wreath product C_L wr S_t is generated by a rotation of the first
-    cycle, a swap of the first two and a shift through all t."""
-    n = p.degree
-    gens = []
-    by_len = {}
-    for c in p.cycles(include_fixed=True):
-        by_len.setdefault(len(c), []).append(c)
-    for length, cycs in sorted(by_len.items()):
-        if length > 1:
-            gens.append(Permutation.from_cycles(cycs[:1], n))
-        gens.extend(_copy_shifts(cycs, n))
-    return gens
-
-
-def _copy_shifts(copies, n):
-    """A swap of the first two of the aligned point sequences ``copies``
-    and, for three or more, a shift of each onto the next, the last onto
-    the first, point by point."""
-    moves = []
-    if len(copies) > 1:
-        moves.append(copies[:2])
-    if len(copies) > 2:
-        moves.append(copies)
-    out = []
-    for moved in moves:
-        images = list(range(1, n + 1))
-        for src, dst in zip(moved, moved[1:] + moved[:1]):
-            for x, y in zip(src, dst):
-                images[x - 1] = y
-        out.append(Permutation._trusted(tuple(images)))
-    return out
-
-
 def conjugation_orbits(pool, generators):
     """Split tuples of permutations into orbits under simultaneous
     conjugation by the group the generators span.
@@ -519,12 +483,12 @@ class TupleCentralizer:
     of ``copy_of`` names the copy that holds x by its first point, and of
     ``orbit_of`` the C(G)-orbit of x (the points of every copy of its class
     at the C_m-orbit of its position) by its point in the first copy at the
-    least such position."""
+    least such position.  ``centralizer_generators`` builds a generating set
+    from it."""
 
     copies: tuple
     constituents: tuple
     order: int
-    generators: tuple
     copy_of: tuple
     orbit_of: tuple
 
@@ -554,9 +518,8 @@ def tuple_centralizer(perms):
     maps.  On one orbit of m points the centralizer of G is the group C_m
     of the G-maps of the orbit onto itself, which is semiregular (a G-map
     that fixes a point fixes the orbit).  C(G) is the product over the
-    classes of C_m wr S_t, of order prod |C_m|^t t!, and is generated by
-    generators of C_m on the first copy, a swap of the first two copies and
-    a shift through all t.
+    classes of C_m wr S_t, of order prod |C_m|^t t!; its generators come
+    from ``centralizer_generators``.
     """
     n = perms[0].degree
     ims = [(0,) + p.images for p in perms]
@@ -590,7 +553,6 @@ def tuple_centralizer(perms):
             cm = [tuple(map(index.__getitem__, phi)) for phi in maps]
             classes.append(([tuple(points)], edges, cm))
     order = 1
-    gens = []
     copy_of, orbit_of = [0] * n, [0] * n
     for copies, _, cm in classes:
         t = len(copies)
@@ -599,9 +561,29 @@ def tuple_centralizer(perms):
         for copy in copies:
             for x, key in zip(copy, keys):
                 copy_of[x - 1], orbit_of[x - 1] = copy[0], key
-        # Generators of C_m: each element that the ones taken before it do
-        # not generate, which is when they do not carry position 0 to its
-        # image (C_m is semiregular).
+    return TupleCentralizer(
+        copies=tuple(tuple(copies) for copies, _, _ in classes),
+        constituents=tuple(cm for _, _, cm in classes),
+        order=order,
+        copy_of=tuple(copy_of),
+        orbit_of=tuple(orbit_of),
+    )
+
+
+def centralizer_generators(centralizer):
+    """Generators of the ``tuple_centralizer`` C(G), the product over its
+    classes of C_m wr S_t.  Per class of t copies: each element of C_m on
+    the first copy that the ones taken before it do not generate, so at
+    most log2 |C_m| of them; a swap of the first two copies; and, for three
+    or more, a shift of each copy onto the next, the last onto the first."""
+    n = len(centralizer.copy_of)
+    gens = []
+    for copies, cm in zip(centralizer.copies, centralizer.constituents):
+        first = copies[0]
+        # Each generator as (points, their images) pairs of sequences.
+        moves = []
+        # The elements taken generate pi exactly when they carry position 0
+        # to pi[0] (C_m is semiregular).
         taken, reached = [], {0}
         for pi in cm:
             if pi[0] in reached:
@@ -614,19 +596,18 @@ def tuple_centralizer(perms):
                     if g[i] not in reached:
                         reached.add(g[i])
                         frontier.append(g[i])
+            moves.append([(first, [first[i] for i in pi])])
+        if len(copies) > 1:
+            moves.append([(copies[0], copies[1]), (copies[1], copies[0])])
+        if len(copies) > 2:
+            moves.append(list(zip(copies, copies[1:] + copies[:1])))
+        for move in moves:
             images = list(range(1, n + 1))
-            for x, i in zip(copies[0], pi):
-                images[x - 1] = copies[0][i]
+            for src, dst in move:
+                for x, y in zip(src, dst):
+                    images[x - 1] = y
             gens.append(Permutation._trusted(tuple(images)))
-        gens.extend(_copy_shifts(copies, n))
-    return TupleCentralizer(
-        copies=tuple(tuple(copies) for copies, _, _ in classes),
-        constituents=tuple(cm for _, _, cm in classes),
-        order=order,
-        generators=tuple(gens),
-        copy_of=tuple(copy_of),
-        orbit_of=tuple(orbit_of),
-    )
+    return gens
 
 
 def least_conjugate(a, s, centralizer):

@@ -152,8 +152,9 @@ def walking_census(k, n):
     out = []
     for parts in all_partitions(n):
         s1 = canonical_of_cycle_type(parts, n)
-        gens = centralizer_generators(s1)
-        partners = braid_partners(s1, symmetry=tuple_centralizer((s1,)))
+        root = tuple_centralizer((s1,))
+        gens = centralizer_generators(root)
+        partners = braid_partners(s1, symmetry=root)
         pool = []
         maps = 0
         for (s2,), s2_orbit in conjugation_orbits([(x,) for x in partners], gens):

@@ -47,6 +47,7 @@ from braidcensus.perm import (
     Permutation,
     centralizer_generators,
     r_component,
+    tuple_centralizer,
 )
 from braidcensus.retraction import label_tables_clean
 from braidcensus.words import (
@@ -468,7 +469,8 @@ def test_braid_like_power_couple_bound_is_sharp():
 
 
 def _centralizer_elements(a):
-    return GeneratedGroup(a.degree, centralizer_generators(a)).elements()
+    gens = centralizer_generators(tuple_centralizer((a,)))
+    return GeneratedGroup(a.degree, gens).elements()
 
 
 def test_commuting_permutations_preserve_support():

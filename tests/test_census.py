@@ -18,6 +18,7 @@ from braidcensus.perm import (
     canonical_of_cycle_type,
     centralizer_generators,
     conjugation_orbits,
+    tuple_centralizer,
 )
 
 
@@ -65,7 +66,7 @@ def _full_cycle_scan(k, n):
             if from_sigma1_alpha(k, n, s1, alpha) is not None
         ]
         for (alpha,), size in conjugation_orbits(
-            valid, centralizer_generators(s1)
+            valid, centralizer_generators(tuple_centralizer((s1,)))
         ):
             out.append((from_sigma1_alpha(k, n, s1, alpha).sigma, size))
     return out

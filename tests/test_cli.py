@@ -222,6 +222,8 @@ def _three_strand_file(tmp_path, **changes):
         lambda tmp: ["hom", _three_strand_file(tmp), "--word", "[true, 2]"],
         lambda tmp: ["hom", _three_strand_file(tmp, k=3.9)],
         lambda tmp: ["hom", _three_strand_file(tmp, sigma=[[2, 1, 3], [1, 3, 2.7]])],
+        lambda tmp: ["cohomology", "standard", "60", "2"],
+        lambda tmp: ["cohomology", "cyclic", "60", "0"],
     ],
     ids=[
         "census-n-0",
@@ -237,6 +239,8 @@ def _three_strand_file(tmp_path, **changes):
         "bool-letter",
         "float-strand-count",
         "float-image",
+        "standard-base-too-large",
+        "cyclic-base-too-large",
     ],
 )
 def test_bad_input_gets_one_line_and_status_2(argv, tmp_path, capsys):

@@ -424,7 +424,7 @@ def test_the_cocycle_check_fires(monkeypatch):
         return B
 
     monkeypatch.setattr(cohomology, "coboundary_matrix", broken)
-    monkeypatch.setattr(cohomology, "_SMITH_PAIRS", {})
+    cohomology._smith_pair.cache_clear()
     with pytest.raises(RuntimeError, match="coboundaries are not cocycles"):
         h1_invariants(standard_hom(5), 3)
 
@@ -437,7 +437,7 @@ def test_the_smith_pair_is_built_once_per_base(monkeypatch):
         return cocycle_matrix(omega)
 
     monkeypatch.setattr(cohomology, "cocycle_matrix", counted)
-    monkeypatch.setattr(cohomology, "_SMITH_PAIRS", {})
+    cohomology._smith_pair.cache_clear()
     for base in (standard_hom(6), exceptional_hom_six(), standard_hom(6)):
         for r in (0, 2, 3, 4, 5, 6, 8, 12):
             h1_invariants(base, r)

@@ -138,7 +138,7 @@ def test_tuple_conjugacy_matches_brute_force():
 def test_centralizer_generators_span_the_full_centralizer():
     for n in (4, 5, 6, 7):
         for a in oracles.conjugacy_class_representatives(n):
-            gens = centralizer_generators(a)
+            gens = centralizer_generators(tuple_centralizer((a,)))
             generated = GeneratedGroup(n, gens).order()
             assert generated == oracles.centralizer_order(a)
             # at most a rotation, a swap and a shift per cycle length
@@ -186,7 +186,14 @@ def test_tuple_centralizer_matches_brute_force():
             cent = tuple_centralizer(perms)
             expected = _brute_centralizer(perms)
             assert cent.order == len(expected), perms
-            assert GeneratedGroup(n, cent.generators).elements() == expected, perms
+            gens = centralizer_generators(cent)
+            assert GeneratedGroup(n, gens).elements() == expected, perms
+            # Each element of C_m taken at least doubles the group the ones
+            # before it generate; a swap and a shift move the copies.
+            for copies, cm in zip(cent.copies, cent.constituents):
+                points = {x for copy in copies for x in copy}
+                moving = [g for g in gens if any(g(x) != x for x in points)]
+                assert len(moving) <= len(cm).bit_length() - 1 + 2, perms
             points = [x for cls in cent.copies for copy in cls for x in copy]
             assert sorted(points) == list(range(1, n + 1))
             # The point table: each point lies in the copy it names, and two
@@ -217,7 +224,8 @@ def test_tuple_centralizer_of_one_permutation_is_its_centralizer():
         for a in oracles.conjugacy_class_representatives(n):
             cent = tuple_centralizer((a,))
             assert cent.order == oracles.centralizer_order(a)
-            assert GeneratedGroup(n, cent.generators).elements() == (
+            gens = centralizer_generators(cent)
+            assert GeneratedGroup(n, gens).elements() == (
                 _brute_centralizer((a,))
             )
 
@@ -399,10 +407,11 @@ def _assert_orbit_leasts_kept(a, commuting=(), symmetry=None):
     cut = braid_partners(a, commuting, symmetry=symmetry)
     assert cut == sorted(cut)
     assert set(cut) <= set(full)
-    if not symmetry.generators:
+    gens = centralizer_generators(symmetry)
+    if not gens:
         assert cut == full
         return 0
-    orbits = conjugation_orbits([(x,) for x in full], symmetry.generators)
+    orbits = conjugation_orbits([(x,) for x in full], gens)
     assert {least for (least,), _ in orbits} <= set(cut)
     return len(full) - len(cut)
 
@@ -562,14 +571,15 @@ def test_conjugation_orbits_of_single_permutations_are_the_classes():
     n = 4
     ident = Permutation.identity(n)
     pool = [(g,) for g in oracles.all_permutations(n)]
-    orbits = conjugation_orbits(pool, centralizer_generators(ident))
+    gens = centralizer_generators(tuple_centralizer((ident,)))
+    orbits = conjugation_orbits(pool, gens)
     reps = oracles.conjugacy_class_representatives(n)
     assert [rep for (rep,), _ in orbits] == reps
     for (rep,), size in orbits:
         assert size == math.factorial(n) // oracles.centralizer_order(rep)
     # an orbit is closed under the group, not under the pool
     swap = Permutation.from_cycles("(1,2)", n)
-    only = conjugation_orbits([(swap,)], centralizer_generators(ident))
+    only = conjugation_orbits([(swap,)], gens)
     assert only == [((Permutation.from_cycles("(3,4)", n),), 6)]
 
 
