@@ -1,30 +1,32 @@
 """Exhaustive enumeration of braid-group homomorphisms into S(n).
 
 A homomorphism is a chain of generator images s_1, ..., s_{k-1}: each
-s_{i+1} braids with s_i and commutes with s_1, ..., s_{i-1}.  The census
-fixes one class-minimal s_1 = s per conjugacy class of S(n) and builds the
-chains level by level with ``perm.braid_partners``, a backtracking search
-that lets the relators force images point by point.  Two maps with first
-image s are conjugate exactly when an element of C(s) carries one chain
-onto the other, so the chains form a tree with one leaf per class: the
-partners of a prefix (s_1, ..., s_i) are split into orbits under the
+s_{i+1} braids with s_i and commutes with s_1, ..., s_{i-1}.  For one
+class-minimal s_1 = s per conjugacy class of S(n), ``chain_leaves`` builds
+the chains level by level with ``perm.braid_partners``, a backtracking
+search that lets the relators force images point by point.  Two maps with
+first image s are conjugate exactly when an element of C(s) carries one
+chain onto the other, so the chains form a tree with one leaf per class:
+the partners of a prefix (s_1, ..., s_i) are split into orbits under the
 centralizer C(G_i) of G_i = <s_1, ..., s_i>, which maps them to
 themselves, and only the least member of each orbit is extended, with its
-weight multiplied by the orbit size.  The centralizers come from
-``perm.tuple_centralizer``: C(s) once per cycle type, the rest lazily, as
-a partner fixed by C(G_i), or the only partner, leaves C(G_{i+1}) = C(G_i).
-For s_2 the group is C(s), and the search for s_2 (``symmetry=`` C(s))
-skips partners that cannot be the least of their orbit.  The survivors,
-and every deeper pool of partners, are split by the generators that
-``perm.centralizer_generators`` builds from the centralizer, only when a
-pool needs splitting.  Past s_2 = s nothing is searched: an s_3 that
-braids with s and commutes with it is s (s s_3 s = s_3 s s_3 and
-s s_3 = s_3 s give s = s_3), and so on, so the constant chain
-(s, ..., s) is the only chain through it.  At a leaf
-the weight is the number of maps in the class, so it times |C(G)| must be
-|C(s)|; the class is recorded by the least conjugate under C(s) of its
-full-cycle image a = s_1 ... s_{k-1}, found by ``perm.least_conjugate``
-from the point table of C(G) without walking the orbit of a.
+weight multiplied by the orbit size.  So each leaf chain is the least
+member of its C(s)-orbit, tuples compared image by image (orderly
+generation).  The centralizers come from ``perm.tuple_centralizer``: C(s)
+once per cycle type, the rest lazily, as a partner fixed by C(G_i), or the
+only partner, leaves C(G_{i+1}) = C(G_i).  For s_2 the group is C(s), and
+the search for s_2 (``symmetry=`` C(s)) skips partners that cannot be the
+least of their orbit.  The survivors, and every deeper pool of partners,
+are split by the generators that ``perm.centralizer_generators`` builds
+from the centralizer, only when a pool needs splitting.  Past s_2 = s
+nothing is searched: an s_3 that braids with s and commutes with it is s
+(s s_3 s = s_3 s s_3 and s s_3 = s_3 s give s = s_3), and so on, so the
+constant chain (s, ..., s) is the only chain through it.  At a leaf the
+weight is the number of maps in the class, so it times |C(G)| must be
+|C(s)|.  The census records each class by the least conjugate under C(s)
+of its full-cycle image a = s_1 ... s_{k-1}, found by
+``perm.least_conjugate`` from the point table of C(G) without walking the
+orbit of a; the commutator-subgroup census reads the same leaves.
 census(8,13) takes 2.0 to 2.6 s and census(7,14) 5.3 to 6.1 s in process,
 each in 22 MB (2-CPU host, Python 3.11.7).
 """
@@ -75,20 +77,17 @@ class CensusRecord:
         }
 
 
-def _census_one_class(args):
-    """All classes of homomorphisms whose first generator image is the
-    class-minimal representative of the given cycle type, as
-    (s1, least alpha, orbit size) image triples."""
-    k, n, parts = args
+def chain_leaves(k, n, parts):
+    """The classes of maps from the k-strand braid group into S(n) whose
+    first image is the class-minimal one of the given cycle type, as
+    (chain, weight, C(chain)) leaves of the chain tree."""
     s1 = canonical_of_cycle_type(parts, n)
-    word = alpha_word(k)
     root = tuple_centralizer((s1,))
     # Depth first over the chain prefixes, one per orbit of the centralizer
     # of the prefix: (prefix, weight, its centralizer or None until needed).
     stack = []
-    for (s2,), size in conjugation_orbits(
-        [(x,) for x in braid_partners(s1, symmetry=root)],
-        centralizer_generators(root),
+    for s2, size in conjugation_orbits(
+        braid_partners(s1, symmetry=root), centralizer_generators(root)
     ):
         if s2 == s1:
             # s3 braids with s2 = s1 and commutes with s1, so s3 = s1, and
@@ -96,7 +95,6 @@ def _census_one_class(args):
             stack.append(((s1,) * (k - 1), 1, root))
         else:
             stack.append(((s1, s2), size, root if size == 1 else None))
-    out = []
     while stack:
         chain, weight, cent = stack.pop()
         if len(chain) < k - 1:
@@ -106,27 +104,33 @@ def _census_one_class(args):
                 continue
             if cent is None:
                 cent = tuple_centralizer(chain)
-            orbits = conjugation_orbits(
-                [(x,) for x in pool], centralizer_generators(cent)
-            )
+            orbits = conjugation_orbits(pool, centralizer_generators(cent))
             if sum(size for _, size in orbits) != len(pool):
                 raise RuntimeError("centralizer orbits do not count the partners")
             # A partner fixed by the centralizer leaves it unchanged.
             stack.extend(
                 (chain + (x,), weight * size, cent if size == 1 else None)
-                for (x,), size in orbits
+                for x, size in orbits
             )
             continue
         if cent is None:
             cent = tuple_centralizer(chain)
         if weight * cent.order != root.order:
             raise RuntimeError("class weight and centralizer order disagree")
-        alpha = perm_image(word, chain)
+        yield chain, weight, cent
+
+
+def _census_one_class(args):
+    """The leaves of ``chain_leaves`` as (s1, least alpha, weight) images."""
+    k, n, parts = args
+    out = []
+    for chain, weight, cent in chain_leaves(k, n, parts):
+        alpha = perm_image(alpha_word(k), chain)
         if weight > 1:
             # A class of weight 1 is one map, so alpha is its own least
             # conjugate.
-            alpha = least_conjugate(alpha, s1, cent)
-        out.append((s1.images, alpha.images, weight))
+            alpha = least_conjugate(alpha, chain[0], cent)
+        out.append((chain[0].images, alpha.images, weight))
     return out
 
 

@@ -194,24 +194,24 @@ def _suite_identities():
     return out
 
 
-def _suite_artin():
+def _census_counts(label, cases):
+    """For each (k, n, expected), whether census(k, n) has that many
+    transitive non-cyclic classes, keyed by the label filled in with k and n."""
     out = {}
-    for k, expected in ((4, 4), (5, 1), (6, 2)):
-        found = select(
-            census(k, k), transitive=True, cyclic=False
-        )
-        out["k=%d count" % k] = len(found) == expected
+    for k, n, expected in cases:
+        found = select(census(k, n), transitive=True, cyclic=False)
+        out[label.format(k=k, n=n)] = len(found) == expected
     return out
+
+
+def _suite_artin():
+    return _census_counts("k={k} count", ((4, 4, 4), (5, 5, 1), (6, 6, 2)))
 
 
 def _suite_small_census():
-    out = {}
-    for k, n, expected in ((3, 4, 2), (3, 5, 1), (4, 5, 1), (5, 6, 1)):
-        found = select(
-            census(k, n), transitive=True, cyclic=False
-        )
-        out["k=%d n=%d count" % (k, n)] = len(found) == expected
-    return out
+    return _census_counts(
+        "k={k} n={n} count", ((3, 4, 2), (3, 5, 1), (4, 5, 1), (5, 6, 1))
+    )
 
 
 def _suite_cohomology():

@@ -4,25 +4,27 @@ For k >= 5 the commutator subgroup of the k-strand braid group is
 finitely presented on generators u, v, w and c_1 .. c_{k-3}; its defining
 relations are checked on construction.  The census enumerates all
 homomorphisms into S(n) up to conjugacy by staging: the c-images satisfy
-the braid relations of k-2 strands among themselves and come from the
-braid-group census; two of the relations force v = c_2^-1 u c_2 and
-w = u c_1 u^-1, which turns the others into relators in u alone, and
-``perm.relator_solutions`` finds every u-image that satisfies them.
+the braid relations of k-2 strands among themselves, so they are the leaf
+chains of the braid-group census tree, one per class; two of the
+relations force v = c_2^-1 u c_2 and w = u c_1 u^-1, which turns the
+others into relators in u alone, and ``perm.relator_solutions`` finds
+every u-image that satisfies them.  The u-images of a chain are split into
+orbits under the chain's centralizer, which the leaf carries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .census import census
+from .census import chain_leaves
 from .perm import (
     Permutation,
     GeneratedGroup,
+    all_partitions,
     centralizer_generators,
     conjugation_orbits,
     integer,
     relator_solutions,
-    tuple_centralizer,
 )
 from .words import braid_relations, inverse, perm_image
 
@@ -223,34 +225,31 @@ def _forced_vw(u, c):
 
 def commutator_census(k, n):
     """All homomorphisms of the commutator subgroup into S(n), one per
-    conjugacy class, for k in {5, 6}.
+    conjugacy class, for k in {5, 6}, sorted by (c_1, ..., c_{k-3}, u).
 
-    The chain images c_1..c_{k-3} satisfy exactly the braid relations of
-    k-2 strands, so the chains are taken one per conjugacy class from
-    census(k - 2, n), whose first image is class-minimal.  The u-image
-    determines v through the mixed relation at the second chain element
-    and w through conjugation, so the remaining relations constrain u
-    alone, and the relator search finds every u-image at once; each is
-    validated against every relation, and the tuples are split into orbits
-    under the centralizer of the first chain image.
+    The chains c_1..c_{k-3} are the leaves of ``census.chain_leaves`` for
+    k-2 strands.  Every u-image of a chain is validated against every
+    relation, and one u per orbit of the chain's centralizer is kept, the
+    least.  A leaf chain is the least member of its orbit under the
+    centralizer of c_1, so each class is printed by the least member of
+    its orbit of (c_2, ..., c_{k-3}, u) under that centralizer.
     """
     if k not in (5, 6):
         raise ValueError("the staged census is provided for k in {5, 6}")
-    by_c1 = {}
-    for rec in census(k - 2, n):
-        chain = rec.hom.sigma
-        pool = by_c1.setdefault(chain[0], [])
-        for u in relator_solutions(n, _u_relators(chain)):
-            if not _relations_report(k, u, *_forced_vw(u, chain), chain)[0]:
-                raise RuntimeError("relator search found an invalid u-image")
-            pool.append(chain[1:] + (u,))
-    out = []
-    for c1 in sorted(by_c1):
-        # Census chains are pairwise non-conjugate, so each orbit meets the
-        # pool in one chain only; its least member is the representative.
-        gens = centralizer_generators(tuple_centralizer((c1,)))
-        for rep, _ in conjugation_orbits(by_c1[c1], gens):
-            chain = (c1,) + rep[:-1]
-            u = rep[-1]
-            out.append(CommutatorHom(k, n, u, *_forced_vw(u, chain), chain))
-    return out
+    found = []
+    for parts in all_partitions(n):
+        for chain, _, cent in chain_leaves(k - 2, n, parts):
+            us = relator_solutions(n, _u_relators(chain))
+            for u in us:
+                if not _relations_report(k, u, *_forced_vw(u, chain), chain)[0]:
+                    raise RuntimeError("relator search found an invalid u-image")
+            if len(us) > 1:
+                # C(chain) maps the u-images onto themselves, so one u-image
+                # is its own orbit and needs no generators.
+                gens = centralizer_generators(cent)
+                us = [u for u, _ in conjugation_orbits(us, gens)]
+            found.extend((chain, u) for u in us)
+    return [
+        CommutatorHom(k, n, u, *_forced_vw(u, chain), chain)
+        for chain, u in sorted(found)
+    ]

@@ -441,37 +441,33 @@ def relator_solutions(n, relators, first=False, symmetry=None):
 
 
 def conjugation_orbits(pool, generators):
-    """Split tuples of permutations into orbits under simultaneous
-    conjugation by the group the generators span.
+    """Split permutations into orbits under conjugation by the group the
+    generators span.
 
-    Each orbit is closed under the group, so it may hold tuples outside the
-    pool; the group is finite, so closing under the generators alone
-    (without their inverses) reaches the whole orbit.  Returns sorted
+    Each orbit is closed under the group, so it may hold permutations
+    outside the pool; the group is finite, so closing under the generators
+    alone (without their inverses) reaches the whole orbit.  Returns sorted
     (least member, orbit size) pairs, one per orbit that meets the pool.
     """
-    # Members are image tuples behind a leading 0, so that p[y] is the image
-    # of y and tuples order as the permutations do; g p g^-1 maps g(y) to
-    # g(p(y)).
+    # Members are images behind a leading 0, so that p[y] is the image of y
+    # and they order as the permutations do; g p g^-1 maps g(y) to g(p(y)).
     pairs = [((0,) + g.images, g.inv().images) for g in generators]
-    remaining = {tuple((0,) + p.images for p in tup) for tup in pool}
+    remaining = {(0,) + p.images for p in pool}
     out = []
     while remaining:
         start = min(remaining)
         orbit = {start}
         frontier = [start]
         while frontier:
-            tup = frontier.pop()
+            p = frontier.pop()
             for g, g_inv in pairs:
-                moved = tuple((0,) + tuple(g[p[y]] for y in g_inv) for p in tup)
+                moved = (0,) + tuple(g[p[y]] for y in g_inv)
                 if moved not in orbit:
                     orbit.add(moved)
                     frontier.append(moved)
         remaining -= orbit
         out.append((min(orbit), len(orbit)))
-    return [
-        (tuple(Permutation._trusted(p[1:]) for p in least), size)
-        for least, size in sorted(out)
-    ]
+    return [(Permutation._trusted(least[1:]), size) for least, size in sorted(out)]
 
 
 @dataclass(frozen=True)

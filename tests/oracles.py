@@ -157,7 +157,7 @@ def walking_census(k, n):
         partners = braid_partners(s1, symmetry=root)
         pool = []
         maps = 0
-        for (s2,), s2_orbit in conjugation_orbits([(x,) for x in partners], gens):
+        for s2, s2_orbit in conjugation_orbits(partners, gens):
             if s2 == s1:
                 chains = [(s1,) * (k - 1)]
             else:
@@ -171,10 +171,10 @@ def walking_census(k, n):
             # Conjugating by C(s1) carries the chains through s2 onto those
             # through each member of its orbit.
             maps += s2_orbit * len(chains)
-            pool.extend((perm_image(alpha_word(k), chain),) for chain in chains)
+            pool.extend(perm_image(alpha_word(k), chain) for chain in chains)
         orbits = conjugation_orbits(pool, gens)
         assert sum(size for _, size in orbits) == maps
-        out.extend((s1.images, alpha.images, size) for (alpha,), size in orbits)
+        out.extend((s1.images, alpha.images, size) for alpha, size in orbits)
     return sorted(out)
 
 

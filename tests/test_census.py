@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from braidcensus.census import CensusRecord, census, select
+from braidcensus.census import CensusRecord, census, chain_leaves, select
 from braidcensus.homs import BraidHom, from_sigma1_alpha, six_strand_ten_points
 from braidcensus.perm import (
     Permutation,
@@ -61,11 +61,9 @@ def _full_cycle_scan(k, n):
     out = []
     for s1 in oracles.conjugacy_class_representatives(n):
         valid = [
-            (alpha,)
-            for alpha in sym
-            if from_sigma1_alpha(k, n, s1, alpha) is not None
+            alpha for alpha in sym if from_sigma1_alpha(k, n, s1, alpha) is not None
         ]
-        for (alpha,), size in conjugation_orbits(
+        for alpha, size in conjugation_orbits(
             valid, centralizer_generators(tuple_centralizer((s1,)))
         ):
             out.append((from_sigma1_alpha(k, n, s1, alpha).sigma, size))
@@ -88,6 +86,22 @@ def test_level_wise_census_matches_the_walking_census(census_cache, k, n):
     records = census_cache(k, n)
     found = [(r.hom.sigma[0].images, r.alpha.images, r.orbit_size) for r in records]
     assert found == oracles.walking_census(k, n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_leaf_chain_is_the_least_of_its_orbit_under_the_first_centralizer(n):
+    """Each level keeps the least member of its orbit, so a leaf chain is
+    the least of its conjugates by C(s1), tuples compared image by image;
+    the commutator census prints its classes on that ground.  C(s1) is
+    found here by scanning S(n), and the weight is the orbit size."""
+    for parts in all_partitions(n):
+        s1 = canonical_of_cycle_type(parts, n)
+        cent = [g for g in oracles.all_permutations(n) if g * s1 == s1 * g]
+        for k in range(3, 6):
+            for chain, weight, _ in chain_leaves(k, n, parts):
+                orbit = {tuple(c.conj(g) for c in chain) for g in cent}
+                assert chain == min(orbit)
+                assert weight == len(orbit)
 
 
 def test_census_is_deterministic_across_worker_counts():

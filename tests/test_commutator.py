@@ -77,6 +77,21 @@ def test_no_nontrivial_maps_into_fewer_points():
     assert records == []
 
 
+@pytest.mark.parametrize("k,n", [(k, n) for k in (5, 6) for n in range(1, 8)])
+def test_each_braid_class_restricts_to_one_commutator_class(census_cache, k, n):
+    """Every class of census(k, n), restricted to the commutator subgroup,
+    is conjugate to exactly one commutator_census(k, n) class, and every
+    commutator class is such a restriction."""
+    classes = commutator_census(k, n)
+    hit = set()
+    for rec in census_cache(k, n):
+        restricted = restrict_braid_hom(rec.hom)
+        matches = [i for i, h in enumerate(classes) if are_conjugate(restricted, h)]
+        assert len(matches) == 1, rec.to_json()
+        hit.update(matches)
+    assert hit == set(range(len(classes)))
+
+
 def _staged_scan(k, n):
     """Reference census, independent of the braid-group census: c1 at one
     representative per cycle type, c2 (and c3) over all of S(n), u over

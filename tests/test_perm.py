@@ -411,8 +411,8 @@ def _assert_orbit_leasts_kept(a, commuting=(), symmetry=None):
     if not gens:
         assert cut == full
         return 0
-    orbits = conjugation_orbits([(x,) for x in full], gens)
-    assert {least for (least,), _ in orbits} <= set(cut)
+    orbits = conjugation_orbits(full, gens)
+    assert {least for least, _ in orbits} <= set(cut)
     return len(full) - len(cut)
 
 
@@ -570,17 +570,16 @@ def test_a_partner_that_commutes_with_its_base_is_the_base():
 def test_conjugation_orbits_of_single_permutations_are_the_classes():
     n = 4
     ident = Permutation.identity(n)
-    pool = [(g,) for g in oracles.all_permutations(n)]
     gens = centralizer_generators(tuple_centralizer((ident,)))
-    orbits = conjugation_orbits(pool, gens)
+    orbits = conjugation_orbits(oracles.all_permutations(n), gens)
     reps = oracles.conjugacy_class_representatives(n)
-    assert [rep for (rep,), _ in orbits] == reps
-    for (rep,), size in orbits:
+    assert [rep for rep, _ in orbits] == reps
+    for rep, size in orbits:
         assert size == math.factorial(n) // oracles.centralizer_order(rep)
     # an orbit is closed under the group, not under the pool
     swap = Permutation.from_cycles("(1,2)", n)
-    only = conjugation_orbits([(swap,)], gens)
-    assert only == [((Permutation.from_cycles("(3,4)", n),), 6)]
+    only = conjugation_orbits([swap], gens)
+    assert only == [(Permutation.from_cycles("(3,4)", n), 6)]
 
 
 def test_cycle_type_ordering_and_disjoint_product():
