@@ -27,18 +27,16 @@ weight is the number of maps in the class, so it times |C(G)| must be
 of its full-cycle image a = s_1 ... s_{k-1}, found by
 ``perm.least_conjugate`` from the point table of C(G) without walking the
 orbit of a; the commutator-subgroup census reads the same leaves.
-census(8,13) takes 2.0 to 2.6 s and census(7,14) 5.3 to 6.1 s in process,
-each in 22 MB (2-CPU host, Python 3.11.7).
+census(8,13) takes 1.3 to 1.4 s in 16.6 MB and census(7,14) 3.2 to 4.2 s
+in 17.6 MB peak RSS, in process (2-CPU host, Python 3.11.7).
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from dataclasses import dataclass
-
 from .homs import BraidHom, from_sigma1_alpha
 from .perm import (
     Permutation,
+    Record,
     all_partitions,
     braid_partners,
     canonical_of_cycle_type,
@@ -50,8 +48,7 @@ from .perm import (
 from .words import alpha_word, perm_image
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(Record):
     """One conjugacy class of homomorphisms, with its orbit bookkeeping."""
 
     hom: BraidHom
@@ -144,7 +141,10 @@ def census(k, n, workers=1):
     tasks = [(k, n, parts) for parts in all_partitions(n)]
     if workers > 1:
         # One cycle type per task: the slowest cycle types come last, and
-        # default chunks would hand them all to one worker.
+        # default chunks would hand them all to one worker.  A single
+        # worker needs no process pool, so the module loads only here.
+        import multiprocessing
+
         with multiprocessing.Pool(workers) as pool:
             chunks = pool.map(_census_one_class, tasks, chunksize=1)
     else:

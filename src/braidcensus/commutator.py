@@ -14,12 +14,11 @@ orbits under the chain's centralizer, which the leaf carries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .census import chain_leaves
 from .perm import (
     Permutation,
     GeneratedGroup,
+    Record,
     all_partitions,
     centralizer_generators,
     conjugation_orbits,
@@ -43,8 +42,7 @@ def generator_words(k):
     return out
 
 
-@dataclass(frozen=True)
-class CommutatorHom:
+class CommutatorHom(Record):
     """Images in S(n) of the commutator-subgroup generators for k strands."""
 
     k: int

@@ -7,14 +7,11 @@ checked on construction unless explicitly deferred.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .perm import GeneratedGroup, Permutation, integer, tuple_conjugacy_witness
+from .perm import GeneratedGroup, Permutation, Record, integer, tuple_conjugacy_witness
 from .words import alpha_word, braid_relations, perm_image
 
 
-@dataclass(frozen=True)
-class BraidHom:
+class BraidHom(Record):
     """Images of the k-1 Artin generators in S(n)."""
 
     k: int

@@ -9,8 +9,8 @@ with that choice.
 from __future__ import annotations
 
 import math
+import operator
 import re
-from dataclasses import dataclass
 
 
 def integer(x):
@@ -18,6 +18,47 @@ def integer(x):
     if isinstance(x, bool) or not isinstance(x, int):
         raise ValueError("expected an integer, got %r" % (x,))
     return x
+
+
+class Record:
+    """Base of the package's immutable records: the annotated names of a
+    subclass body are its fields, in order.  Construction takes them by
+    position or keyword and then runs ``__post_init__`` if the subclass
+    defines one; records are equal only to records of the same class with
+    equal fields, hash by their fields and refuse assignment and deletion.
+    It does what the package used of frozen dataclasses, whose import (it
+    brings ``inspect`` and ``ast``) every command would pay at start-up."""
+
+    def __init_subclass__(cls):
+        fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields, cls._values = fields, operator.attrgetter(*fields)
+        # A generated __init__ binds arguments as fast as a dataclass's.
+        body = "".join("    _set(self, %r, %s)\n" % (f, f) for f in fields)
+        if hasattr(cls, "__post_init__"):
+            body += "    self.__post_init__()\n"
+        namespace = {"_set": object.__setattr__}
+        exec("def __init__(self, %s):\n%s" % (", ".join(fields), body), namespace)
+        cls.__init__ = namespace["__init__"]
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__name__,
+            ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields),
+        )
 
 
 class Permutation:
@@ -203,8 +244,7 @@ class CycleType(tuple):
         return math.lcm(*self)
 
 
-@dataclass(frozen=True)
-class RComponent:
+class RComponent(Record):
     """All r-cycles of a permutation, with their joint support."""
 
     cycles: tuple
@@ -470,8 +510,7 @@ def conjugation_orbits(pool, generators):
     return [(Permutation._trusted(least[1:]), size) for least, size in sorted(out)]
 
 
-@dataclass(frozen=True)
-class TupleCentralizer:
+class TupleCentralizer(Record):
     """The centralizer C(G) in S(n) of a permutation group G, as
     ``tuple_centralizer`` finds it: per class of isomorphic orbits of G,
     its orbits (copies) as point sequences aligned point by point with the
@@ -680,8 +719,7 @@ def least_conjugate(a, s, centralizer):
     return least
 
 
-@dataclass(frozen=True)
-class GeneratedGroup:
+class GeneratedGroup(Record):
     """A permutation group given by generators; degree-limited utilities."""
 
     degree: int

@@ -1,6 +1,5 @@
 """Unit tests for the enumeration engine."""
 
-import dataclasses
 import itertools
 import json
 import sys
@@ -14,6 +13,7 @@ from braidcensus.census import CensusRecord, census, chain_leaves, select
 from braidcensus.homs import BraidHom, from_sigma1_alpha, six_strand_ten_points
 from braidcensus.perm import (
     Permutation,
+    TupleCentralizer,
     all_partitions,
     canonical_of_cycle_type,
     centralizer_generators,
@@ -220,7 +220,13 @@ def test_a_wrong_centralizer_order_breaks_the_class_weight(monkeypatch):
         cent = exact(perms)
         if len(perms) == 1:
             return cent
-        return dataclasses.replace(cent, order=2 * cent.order)
+        return TupleCentralizer(
+            copies=cent.copies,
+            constituents=cent.constituents,
+            order=2 * cent.order,
+            copy_of=cent.copy_of,
+            orbit_of=cent.orbit_of,
+        )
 
     monkeypatch.setattr(CENSUS_MODULE, "tuple_centralizer", doubled)
     with pytest.raises(RuntimeError, match="weight and centralizer order"):

@@ -9,10 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from braidcensus.census import CensusRecord
+from braidcensus.commutator import CommutatorHom
+from braidcensus.homs import BraidHom, standard_hom
 from braidcensus.perm import (
     CycleType,
     GeneratedGroup,
     Permutation,
+    RComponent,
+    TupleCentralizer,
     all_partitions,
     braid_partners,
     canonical_of_cycle_type,
@@ -619,3 +624,70 @@ def test_tuple_conjugacy_is_symmetric(pair):
     if forward is not None:
         assert all(a.conj(forward) == b for a, b in zip(aa, bb))
         assert all(b.conj(backward) == a for a, b in zip(aa, bb))
+
+
+def test_records_are_frozen_values_of_their_own_class():
+    """Each record equals and hashes as a record of its class with equal
+    fields, never as another class or the plain tuple of its fields, and
+    refuses assignment and deletion; keyword and positional construction
+    agree."""
+    p = Permutation.from_cycles("(1,2)(3,4)", 4)
+    e = Permutation.identity(4)
+    s = standard_hom(4)
+    cent = tuple_centralizer((p,))
+    rebuilt = TupleCentralizer(
+        copies=cent.copies,
+        constituents=cent.constituents,
+        order=cent.order,
+        copy_of=cent.copy_of,
+        orbit_of=cent.orbit_of,
+    )
+    pairs = [
+        (
+            RComponent(cycles=((1, 2), (3, 4)), support=frozenset(range(1, 5))),
+            r_component(p, 2),
+        ),
+        (rebuilt, cent),
+        (GeneratedGroup(4, (p, e)), GeneratedGroup(degree=4, generators=(p, e))),
+        (BraidHom(4, 4, s.sigma), s),
+        (
+            CensusRecord(hom=s, orbit_size=1, alpha=s.alpha()),
+            CensusRecord(s, 1, s.alpha()),
+        ),
+        (
+            CommutatorHom(5, 4, e, e, e, (e, e)),
+            CommutatorHom(k=5, n=4, u=e, v=e, w=e, c=(e, e)),
+        ),
+    ]
+    for a, b in pairs:
+        name = type(a).__name__
+        assert a is not b and a == b and not a != b, name
+        if name != "TupleCentralizer":  # its constituents are lists
+            assert hash(a) == hash(b), name
+        assert a != tuple(vars(a).values()), name
+        assert repr(a).startswith(name + "("), name
+        field = next(iter(vars(a)))
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(b, field))
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+        assert a == b, name
+    braid, commutator = BraidHom(5, 4, (e,) * 4), pairs[-1][0]
+    assert braid != commutator and braid != (5, 4, (e,) * 4)
+    assert BraidHom(4, 4, (e,) * 3) != s
+
+
+def test_records_refuse_bad_images():
+    a = Permutation.from_cycles("(1,2)", 4)
+    b = Permutation.from_cycles("(3,4)", 4)
+    e = Permutation.identity(4)
+    with pytest.raises(ValueError, match="braid relations"):
+        BraidHom(3, 4, (a, b))
+    with pytest.raises(ValueError, match="need 2 generator images"):
+        BraidHom(k=3, n=4, sigma=(a,))
+    with pytest.raises(ValueError, match="degree mismatch"):
+        CommutatorHom(5, 4, e, e, e, (e, Permutation.identity(3)))
+    with pytest.raises(ValueError, match="defining relations"):
+        CommutatorHom(5, 4, a, e, e, (e, e))
+    with pytest.raises(ValueError, match="generator degree mismatch"):
+        GeneratedGroup(4, (a, Permutation.identity(5)))

@@ -2,6 +2,8 @@
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "braidcensus"
@@ -19,6 +21,23 @@ def test_runtime_invariants_are_real_exceptions():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_the_command_line_loads_no_unused_module_at_start_up():
+    """Every CLI command is a fresh interpreter that pays for each module
+    it imports: ``dataclasses`` (which brings ``inspect``) is not used, and
+    ``multiprocessing`` only under ``--workers`` > 1, where ``census``
+    imports it."""
+    code = (
+        "import sys; sys.path.insert(0, %r); import braidcensus.cli; "
+        "print(' '.join(sorted(sys.modules)))" % str(SRC.parent)
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", code],
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "braidcensus.cli" in out
+    assert {"dataclasses", "inspect", "multiprocessing"} & set(out) == set()
 
 
 def _names(path):
