@@ -8,11 +8,15 @@ the braid relations of k-2 strands among themselves, so they are the leaf
 chains of the braid-group census tree, one per class; two of the
 relations force v = c_2^-1 u c_2 and w = u c_1 u^-1, which turns the
 others into relators in u alone, and ``perm.relator_solutions`` finds
-every u-image that satisfies them.  The u-images of a chain are split into
-orbits under the chain's centralizer, which the leaf carries.
+every u-image that satisfies them; the words are built once per chain
+length, over chain indices that each chain maps onto its images.  The
+u-images of a chain are split into orbits under the chain's centralizer,
+which the leaf carries.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .census import chain_leaves
 from .perm import (
@@ -110,12 +114,13 @@ class CommutatorHom(Record):
         )
 
 
+@functools.cache
 def _relations(k):
     """The defining relations of the commutator subgroup on k strands
-    (Gorin and Lin, Mat. Sb. 1969) as (name, lhs, rhs).  The words are
-    signed letters in the order of ``CommutatorHom.images``: 1, 2, 3 for u,
-    v, w and 3 + i for c_i.  The chain c_1..c_{k-3} satisfies the braid
-    relations of k-2 strands."""
+    (Gorin and Lin, Mat. Sb. 1969) as a tuple of (name, lhs, rhs), built
+    once per k.  The words are signed letters in the order of
+    ``CommutatorHom.images``: 1, 2, 3 for u, v, w and 3 + i for c_i.  The
+    chain c_1..c_{k-3} satisfies the braid relations of k-2 strands."""
     rels = [
         ("u c1 u^-1 = w", (1, 4, -1), (3,)),
         ("u w u^-1 = w^2 c1^-1 w", (1, 3, -1), (3, 3, -4, 3)),
@@ -137,7 +142,7 @@ def _relations(k):
         else:
             name = "chain braiding at %d" % lhs[0]
         rels.append((name, tuple(3 + g for g in lhs), tuple(3 + g for g in rhs)))
-    return rels
+    return tuple(rels)
 
 
 def _relations_report(k, u, v, w, c):
@@ -193,26 +198,36 @@ def restrict_braid_hom(hom):
     )
 
 
-def _u_relators(c):
+@functools.cache
+def _u_relator_words(m):
     """The relations of ``_relations`` that involve u, v or w, with
-    v = c2^-1 u c2 and w = u c1 u^-1 substituted: relator words in u alone
-    for ``perm.relator_solutions``, where None stands for u.  The relations
-    that the substitution makes hold outright reduce to empty words."""
+    v = c2^-1 u c2 and w = u c1 u^-1 substituted, for a chain of m images:
+    words in u and the chain, where None stands for u and i for c_{i+1},
+    built once per m.  The relations that the substitution makes hold
+    outright reduce to empty words in ``perm.relator_solutions``."""
 
     def inv(word):
         return tuple((g, -e) for g, e in reversed(word))
 
     u = ((None, 1),)
-    c1, c2 = ((c[0], 1),), ((c[1], 1),)
-    letters = [u, inv(c2) + u + c2, u + c1 + inv(u)] + [((ci, 1),) for ci in c]
+    c1, c2 = ((0, 1),), ((1, 1),)
+    letters = [u, inv(c2) + u + c2, u + c1 + inv(u)] + [((i, 1),) for i in range(m)]
     sub = {}
     for g, word in enumerate(letters, 1):
         sub[g], sub[-g] = word, inv(word)
-    return [
+    return tuple(
         tuple(x for g in lhs + inverse(rhs) for x in sub[g])
-        for _, lhs, rhs in _relations(len(c) + 3)
+        for _, lhs, rhs in _relations(m + 3)
         if any(abs(g) <= 3 for g in lhs + rhs)
-    ]
+    )
+
+
+def _u_relators(c):
+    """The words of ``_u_relator_words`` on the chain images c: relator
+    words in u alone for ``perm.relator_solutions``.  Each c_i is the object
+    c[i - 1], so c_i c_j^-1 cancels there if c_i is c_j."""
+    words = _u_relator_words(len(c))
+    return [tuple([(i if i is None else c[i], e) for i, e in w]) for w in words]
 
 
 def _forced_vw(u, c):
@@ -226,11 +241,12 @@ def commutator_census(k, n):
     conjugacy class, for k in {5, 6}, sorted by (c_1, ..., c_{k-3}, u).
 
     The chains c_1..c_{k-3} are the leaves of ``census.chain_leaves`` for
-    k-2 strands.  Every u-image of a chain is validated against every
-    relation, and one u per orbit of the chain's centralizer is kept, the
-    least.  A leaf chain is the least member of its orbit under the
-    centralizer of c_1, so each class is printed by the least member of
-    its orbit of (c_2, ..., c_{k-3}, u) under that centralizer.
+    k-2 strands; the u-relator words are built once and put on each chain.
+    Every u-image of a chain is validated against every relation, and one
+    u per orbit of the chain's centralizer is kept, the least.  A leaf
+    chain is the least member of its orbit under the centralizer of c_1,
+    so each class is printed by the least member of its orbit of
+    (c_2, ..., c_{k-3}, u) under that centralizer.
     """
     if k not in (5, 6):
         raise ValueError("the staged census is provided for k in {5, 6}")

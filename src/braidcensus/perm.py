@@ -89,6 +89,10 @@ class Permutation:
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, which checks the images.
+        return Permutation, (self.images,)
+
     @property
     def degree(self):
         return len(self.images)
@@ -296,6 +300,15 @@ def braid_partners(a, commuting=(), symmetry=None):
     return relator_solutions(a.degree, relators, symmetry=symmetry)
 
 
+def _then(first, second):
+    """The composite of two maps of {0..n-1}, ``first`` applied first, each
+    given as the pair (map, inverse map), or None for the identity."""
+    if first is None or second is None:
+        return first or second
+    (f, f_inv), (g, g_inv) = first, second
+    return tuple([g[y] for y in f]), tuple([f_inv[y] for y in g_inv])
+
+
 def relator_solutions(n, relators, first=False, symmetry=None):
     """Every x in S(n) for which each relator is the identity, in
     increasing order; with ``first``, only the least one.
@@ -308,17 +321,20 @@ def relator_solutions(n, relators, first=False, symmetry=None):
     see further.
 
     Backtracking on the point map of x with the deductions of coset
-    enumeration (Sims, Computation with Finitely Presented Groups, ch. 5):
-    after each new image x(p) = q, every cyclic rotation of a relator that
-    starts with x at p or with x^-1 at q is scanned from both ends.  A scan
-    with exactly one gap forces the missing image; a closed scan that misses
-    its start prunes the branch.  A rotation of an inverse relator is one of
-    these closed walks run backwards, which the two-ended scan already
-    covers.  A relator that reduces to x^e g^f x^-e h^d, such as a
-    commutation x c x^-1 c^-1 or a conjugacy relator, is not scanned: it
-    says x(A p) = B(x(p)) for fixed maps A and B (A = g^-f, B = h^d when
-    e = 1; A = h^-d, B = g^f when e = -1), so each new image x(p) = q
-    forces x(A p) = B q at once, and so on along the A-cycle of p.  Both rules reach the same fixpoint.
+    enumeration (Sims, Computation with Finitely Presented Groups, ch. 5).
+    Each relator is compiled once into segments: an x-letter and the
+    composite of the fixed letters up to the next one.  After each new
+    image x(p) = q, every cyclic rotation of a relator that starts with x
+    at p or with x^-1 at q is scanned from both ends, one step per
+    x-letter.  A scan with exactly one gap forces the missing image; a
+    closed scan that misses its start prunes the branch.  A rotation of an
+    inverse relator is one of these closed walks run backwards, which the
+    two-ended scan already covers.  A relator of two segments with
+    opposite x-signs, x A x^-1 B for composites A and B (a commutation
+    x c x^-1 c^-1, a conjugacy relator), is not scanned: it says
+    x(A^-1 p) = B(x(p)), so each new image x(p) = q forces x(A^-1 p) = B q
+    at once, and so on along the A-cycle of p.  Both rules reach the same
+    fixpoint.
     Each branch defines the least point without an image and tries its
     images in increasing order, so solutions come out sorted.
 
@@ -344,14 +360,17 @@ def relator_solutions(n, relators, first=False, symmetry=None):
 
     img = [-1] * n  # x on {0..n-1}; -1 where not yet chosen
     pre = [-1] * n  # x^-1 likewise
-    # Each letter as the pair (its map, the inverse map) on {0..n-1}, by
-    # generator and then by exponent 1 or -1.
-    tables = {None: ((img, pre), (pre, img))}
+    # Each fixed letter as the pair (its map, the inverse map) on {0..n-1},
+    # by the id of its object (the relators hold it), then by exponent.
+    tables = {}
+    ident = (tuple(range(n)),) * 2
 
     # A relator is a closed walk: the letters of the word, last one first,
-    # must bring every point back to itself.  Rotations that start with x
-    # are scanned from p, those with x^-1 from q; a walk x, F, x^-1, G says
-    # x(G^-1 p) = F(x(p)) and goes to ``equivariant`` as (G^-1, F) instead.
+    # must bring every point back to itself.  Segment i is the i-th x-letter
+    # (read through xs[i], backwards xinv[i]) and the fixed letters after it
+    # as one map fw[i] with inverse bw[i], stored twice round so that the
+    # rotation from segment i is entries i..i+r-1.  A walk x, A, x^-1, B
+    # goes to ``equivariant`` as (B^-1, A).
     at_x, at_x_inv, equivariant = [], [], []
     for word in relators:
         red = []
@@ -369,36 +388,41 @@ def relator_solutions(n, relators, first=False, symmetry=None):
         ):
             red = red[1:-1]
         red.reverse()
-        walk = []
+        # segments[0] gathers the fixed letters before the first x-letter;
+        # they end the last segment.
+        signs, segments = [], [None]
         for g, e in red:
-            pairs = tables.get(g)
+            if g is None:
+                signs.append(e)
+                segments.append(None)
+                continue
+            pairs = tables.get(id(g))
             if pairs is None:
                 if g.degree != n:
                     raise ValueError("degree mismatch")
                 fwd = tuple([y - 1 for y in g.images])
                 # The inverse lists the points in the order of their images.
                 bwd = tuple(sorted(range(n), key=fwd.__getitem__))
-                pairs = tables[g] = ((fwd, bwd), (bwd, fwd))
-            walk.append(pairs[e < 0])
-        xs = [i for i, (g, _) in enumerate(red) if g is None]
-        if not xs:
+                pairs = tables[id(g)] = ((fwd, bwd), (bwd, fwd))
+            segments[-1] = _then(segments[-1], pairs[e < 0])
+        if not signs:
             # No x: the word holds for every x or for none.
-            for start in range(n):
-                f = start
-                for fwd, _ in walk:
-                    f = fwd[f]
-                if f != start:
-                    return []
-        if len(walk) == 4 and xs in ([0, 2], [1, 3]):
-            (_, e), (_, d) = red[xs[0]], red[xs[1]]
-            if e == -d:
-                # the rotation x, F, x^-1, G starts at the letter x
-                i = xs[e == -1]
-                equivariant.append((walk[i - 1][1], walk[i - 3][0]))
-                continue
-        for i in xs:
-            rot = walk[i:] + walk[:i]
-            (at_x if red[i][1] == 1 else at_x_inv).append(tuple(zip(*rot)))
+            if segments[0] not in (None, ident):
+                return []
+            continue
+        segments[-1] = _then(segments[-1], segments[0])
+        fw, bw = zip(*(s or ident for s in segments[1:]))
+        if len(signs) == 2 and signs[0] == -signs[1]:
+            i = signs.index(1)
+            equivariant.append((bw[1 - i], fw[i]))
+            continue
+        r = len(signs)
+        xs = tuple(img if e == 1 else pre for e in signs) * 2
+        xinv = tuple(pre if e == 1 else img for e in signs) * 2
+        fw, bw = fw * 2, bw * 2
+        for i, e in enumerate(signs):
+            rotation = (fw[i], i + 1, i + r, xs, xinv, fw, bw)
+            (at_x if e == 1 else at_x_inv).append(rotation)
 
     trail = []
 
@@ -417,30 +441,32 @@ def relator_solutions(n, relators, first=False, symmetry=None):
                     img[u], pre[v] = v, u
                     trail.append(u)
                     queue.append((u, v))
-            for start, rotations in ((p, at_x), (q, at_x_inv)):
-                for fwd, bwd in rotations:
-                    m = len(fwd)
-                    i, f = 0, start
-                    while i < m and fwd[i][f] >= 0:
-                        f = fwd[i][f]
-                        i += 1
-                    if i == m:
+            for start, after, rotations in ((p, q, at_x), (q, p, at_x_inv)):
+                for first_map, lo, end, xs, xinv, fw, bw in rotations:
+                    f = first_map[after]
+                    for s in range(lo, end):
+                        y = xs[s][f]
+                        if y < 0:
+                            break
+                        f = fw[s][y]
+                    else:
                         if f != start:
                             return False
                         continue
-                    j, b = m - 1, start
-                    while j > i and bwd[j][b] >= 0:
-                        b = bwd[j][b]
-                        j -= 1
-                    if j > i:
-                        continue
-                    # One gap: letter i must carry f to b.
-                    u, v = (f, b) if fwd[i] is img else (b, f)
-                    if img[u] >= 0 or pre[v] >= 0:
-                        return False
-                    img[u], pre[v] = v, u
-                    trail.append(u)
-                    queue.append((u, v))
+                    b = start
+                    for j in range(end - 1, s, -1):
+                        b = xinv[j][bw[j][b]]
+                        if b < 0:
+                            break
+                    else:
+                        # One gap: x-letter s must carry f to bw[s][b].
+                        b = bw[s][b]
+                        u, v = (f, b) if xs[s] is img else (b, f)
+                        if img[u] >= 0 or pre[v] >= 0:
+                            return False
+                        img[u], pre[v] = v, u
+                        trail.append(u)
+                        queue.append((u, v))
         return True
 
     out = []

@@ -1,7 +1,9 @@
 """Unit tests for the permutation layer."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from braidcensus.census import CensusRecord
-from braidcensus.commutator import CommutatorHom
+from braidcensus.commutator import CommutatorHom, standard_commutator_hom
 from braidcensus.homs import BraidHom, standard_hom
 from braidcensus.perm import (
     CycleType,
@@ -564,6 +566,56 @@ def test_equivariance_relators_match_a_scan_of_the_symmetric_group():
     assert nonempty >= 100
 
 
+def test_segment_relators_match_a_scan_of_the_symmetric_group():
+    """Words that the search compiles into segments of an x-letter and a
+    run of fixed letters: x^e A x^-e B with runs A and B of one to three
+    letters, which it propagates as x(A^-1 p) = B(x(p)) (for e = 1), and
+    words of three to six x-letters between runs of none to three, which it
+    scans.  Every rotation and sign, alone or next to a braid relator; the
+    letters come from three permutations, so runs repeat, cancel and compose
+    to the identity."""
+    rng = random.Random(17)
+    n = 5
+    sym = oracles.all_permutations(n)
+    x, x_inv = (None, 1), (None, -1)
+    nonempty = 0
+    for case in range(240):
+        x0 = rng.choice(sym)
+        pool = [rng.choice(sym) for _ in range(3)]
+
+        def run(lo, hi):
+            return [
+                (rng.choice(pool), rng.choice([1, -1]))
+                for _ in range(rng.randint(lo, hi))
+            ]
+
+        relators = []
+        for _ in range(rng.randint(1, 2)):
+            if case % 2:
+                word, m = [], rng.randint(3, 6)
+                for i in range(m):
+                    word += [(None, rng.choice([1, -1]))] + run(0, 3 - (i == m - 1))
+            else:
+                e = rng.choice([1, -1])
+                word = [(None, e)] + run(1, 3) + [(None, -e)] + run(0, 2)
+            # most words end with a letter that makes x0 a solution
+            if rng.random() < 0.8:
+                word.append((_evaluate(word, x0), -1))
+            elif word[-1][0] is None:
+                word += run(1, 1)
+            r = rng.randrange(len(word))
+            relators.append(tuple(word[r:] + word[:r]))
+        if rng.random() < 0.5:
+            a = rng.choice([x0, rng.choice(sym)])
+            braid = ((a, 1), x, (a, 1), x_inv, (a, -1), x_inv)
+            relators.insert(rng.randrange(len(relators) + 1), braid)
+        expected = _solutions_by_scan(n, relators)
+        nonempty += bool(expected)
+        assert relator_solutions(n, relators) == expected
+        assert relator_solutions(n, relators, first=True) == expected[:1]
+    assert nonempty >= 100
+
+
 def test_a_partner_that_commutes_with_its_base_is_the_base():
     """a x a = x a x and a x = x a give a = x: past s_2 = s_1 a census
     chain is constant."""
@@ -675,6 +727,32 @@ def test_records_are_frozen_values_of_their_own_class():
     braid, commutator = BraidHom(5, 4, (e,) * 4), pairs[-1][0]
     assert braid != commutator and braid != (5, 4, (e,) * 4)
     assert BraidHom(4, 4, (e,) * 3) != s
+
+
+def test_permutations_and_records_survive_pickle_and_deepcopy():
+    """A permutation pickles as its images and is checked again on load, so
+    every record that holds one round-trips too: equal, of its own class and
+    still immutable."""
+    s = standard_hom(5)
+    values = [
+        Permutation.from_cycles("(1,3)(2,5,4)", 5),
+        s,
+        CensusRecord(hom=s, orbit_size=1, alpha=s.alpha()),
+        standard_commutator_hom(6),
+        GeneratedGroup(5, s.sigma),
+        tuple_centralizer(s.sigma[:2]),
+    ]
+    for value in values:
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            name = type(value).__name__
+            assert twin is not value and twin == value, name
+            assert type(twin) is type(value), name
+            with pytest.raises(AttributeError):
+                twin.images = None
+    rebuild, args = values[0].__reduce__()
+    assert rebuild(*args) == values[0]
+    with pytest.raises(ValueError, match="bijection"):
+        rebuild((1, 1, 2, 3, 4))
 
 
 def test_records_refuse_bad_images():
