@@ -11,7 +11,8 @@ others into relators in u alone, and ``perm.relator_solutions`` finds
 every u-image that satisfies them; the words are built once per chain
 length, over chain indices that each chain maps onto its images.  The
 u-images of a chain are split into orbits under the chain's centralizer,
-which the leaf carries.
+which the leaf carries.  The group is perfect for k >= 5, so every image
+lies in A_n and only the chains with an even c_1 are walked.
 """
 
 from __future__ import annotations
@@ -242,21 +243,32 @@ def commutator_census(k, n):
 
     The chains c_1..c_{k-3} are the leaves of ``census.chain_leaves`` for
     k-2 strands; the u-relator words are built once and put on each chain.
-    Every u-image of a chain is validated against every relation, and one
-    u per orbit of the chain's centralizer is kept, the least.  A leaf
-    chain is the least member of its orbit under the centralizer of c_1,
-    so each class is printed by the least member of its orbit of
-    (c_2, ..., c_{k-3}, u) under that centralizer.
+    B'_k is perfect, so its image lies in A_n: only the even cycle types
+    of c_1 are walked, and a u-image that passes the relations but is odd
+    is an error.  Every u-image of a chain is validated against every
+    relation, and one u per orbit of the chain's centralizer is kept, the
+    least.  A leaf chain is the least member of its orbit under the
+    centralizer of c_1, so each class is printed by the least member of
+    its orbit of (c_2, ..., c_{k-3}, u) under that centralizer.
     """
     if k not in (5, 6):
         raise ValueError("the staged census is provided for k in {5, 6}")
     found = []
     for parts in all_partitions(n):
+        if sum(p - 1 for p in parts) % 2:
+            # B'_k is perfect for k >= 5, so its image lies in A_n: c_1 is
+            # even, and so is the rest of the chain, all conjugate to c_1.
+            continue
         for chain, _, cent in chain_leaves(k - 2, n, parts):
             us = relator_solutions(n, _u_relators(chain))
             for u in us:
                 if not _relations_report(k, u, *_forced_vw(u, chain), chain)[0]:
                     raise RuntimeError("relator search found an invalid u-image")
+                if not u.is_even():
+                    raise RuntimeError(
+                        "odd u-image, but B'_k is perfect, so every image "
+                        "lies in A_n: the relations present another group"
+                    )
             if len(us) > 1:
                 # C(chain) maps the u-images onto themselves, so one u-image
                 # is its own orbit and needs no generators.

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import oracles
-from braidcensus.census import census
+from braidcensus.census import census, chain_leaves
 from braidcensus.commutator import (
     CommutatorHom,
     _relations_report,
@@ -17,7 +17,7 @@ from braidcensus.commutator import (
     standard_commutator_hom,
 )
 from braidcensus.homs import are_conjugate, standard_hom
-from braidcensus.perm import Permutation, relator_solutions
+from braidcensus.perm import Permutation, all_partitions, relator_solutions
 
 
 def test_generator_words_have_zero_exponent_sum():
@@ -71,8 +71,8 @@ def test_census_rejects_unsupported_strand_counts():
 
 
 def test_no_nontrivial_maps_into_fewer_points():
-    # the source has no proper normal subgroup of small index, so every
-    # image in S(4) collapses
+    # B'_k is perfect for k >= 5, so its image is a perfect subgroup of
+    # S(4), which is solvable: every image is trivial
     records = [h for h in commutator_census(5, 4) if not h.is_trivial()]
     assert records == []
 
@@ -155,4 +155,47 @@ def test_an_invalid_u_image_from_the_search_is_an_error(monkeypatch):
 
     monkeypatch.setattr(module, "relator_solutions", with_a_stray_u)
     with pytest.raises(RuntimeError, match="invalid u-image"):
+        commutator_census(5, 5)
+
+
+def _odd_chains(k, n):
+    """The leaf chains for k-2 strands whose c_1 is an odd permutation."""
+    return [
+        chain
+        for parts in all_partitions(n)
+        if sum(p - 1 for p in parts) % 2
+        for chain, _, _ in chain_leaves(k - 2, n, parts)
+    ]
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_chains_with_an_odd_c1_have_no_u_image(k):
+    """The census walks only even c_1, because B'_k is perfect and its
+    image lies in A_n: the chains it skips give no u-image, by the search
+    for n <= 8 and by a scan of S(n) for n <= 5."""
+    checked = 0
+    for n in range(1, 9):
+        for chain in _odd_chains(k, n):
+            assert relator_solutions(n, _u_relators(chain)) == []
+            if n <= 5:
+                for u in oracles.all_permutations(n):
+                    v, w = chain[1].inv() * u * chain[1], u * chain[0] * u.inv()
+                    assert not _relations_report(k, u, v, w, chain)[0]
+            checked += 1
+    assert checked > 0
+
+
+def test_an_odd_u_image_is_an_error(monkeypatch):
+    """A relation table that no longer presents a perfect group lets odd
+    u-images through, and then the odd c_1 the census skips could count
+    too; the first odd u-image stops the census."""
+    module = sys.modules["braidcensus.commutator"]
+    relations = module._relations
+
+    def chain_relations_only(k):
+        return tuple(r for r in relations(k) if all(abs(g) > 3 for g in r[1] + r[2]))
+
+    monkeypatch.setattr(module, "_relations", chain_relations_only)
+    monkeypatch.setattr(module, "_u_relators", lambda chain: [])
+    with pytest.raises(RuntimeError, match="B'_k is perfect"):
         commutator_census(5, 5)
