@@ -3,49 +3,62 @@
 A homomorphism is a chain of generator images s_1, ..., s_{k-1}: each
 s_{i+1} braids with s_i and commutes with s_1, ..., s_{i-1}.  For one
 class-minimal s_1 = s per conjugacy class of S(n), ``chain_leaves`` builds
-the chains level by level with ``perm.braid_partners``, a backtracking
-search that lets the relators force images point by point.  Two maps with
-first image s are conjugate exactly when an element of C(s) carries one
-chain onto the other, so the chains form a tree with one leaf per class:
-the partners of a prefix (s_1, ..., s_i) are split into orbits under the
-centralizer C(G_i) of G_i = <s_1, ..., s_i>, which maps them to
-themselves, and only the least member of each orbit is extended, with its
-weight multiplied by the orbit size.  So each leaf chain is the least
-member of its C(s)-orbit, tuples compared image by image (orderly
-generation).  The centralizers come from ``perm.tuple_centralizer``: C(s)
-once per cycle type, the rest lazily, as a partner fixed by C(G_i), or the
-only partner, leaves C(G_{i+1}) = C(G_i).  For s_2 the group is C(s), and
-the search for s_2 (``symmetry=`` C(s)) skips partners that cannot be the
-least of their orbit.  The survivors, and every deeper pool of partners,
-are split by the generators that ``perm.centralizer_generators`` builds
-from the centralizer, only when a pool needs splitting.  Past s_2 = s
-nothing is searched: an s_3 that braids with s and commutes with it is s
-(s s_3 s = s_3 s s_3 and s s_3 = s_3 s give s = s_3), and so on, so the
-constant chain (s, ..., s) is the only chain through it.  At a leaf the
-weight is the number of maps in the class, so it times |C(G)| must be
-|C(s)|.  The census records each class by the least conjugate under C(s)
-of its full-cycle image a = s_1 ... s_{k-1}, found by
-``perm.least_conjugate`` from the point table of C(G) without walking the
-orbit of a; the commutator-subgroup census reads the same leaves.
-census(8,13) takes 1.3 to 1.4 s in 16.6 MB and census(7,14) 3.2 to 4.2 s
-in 17.6 MB peak RSS, in process (2-CPU host, Python 3.11.7).
+the chains level by level with ``braid_partners``: its relators are the
+relations of ``words.braid_relations`` that involve the next generator, the
+chain gives the images of their other letters, and
+``perm.relator_solutions`` is a backtracking search that lets them force
+images point by point.  Two maps with first image s are conjugate exactly
+when an element of C(s) carries one chain onto the other, so the chains
+form a tree with one leaf per class: the partners of a prefix
+(s_1, ..., s_i) are split into orbits under the centralizer C(G_i) of
+G_i = <s_1, ..., s_i>, which maps them to themselves, and only the least
+member of each orbit is extended, with its weight multiplied by the orbit
+size.  So each leaf chain is the least member of its C(s)-orbit, tuples
+compared image by image (orderly generation).  The centralizers come from
+``perm.tuple_centralizer``: C(s) once per cycle type, the rest lazily, as a
+partner fixed by C(G_i), or the only partner, leaves C(G_{i+1}) = C(G_i).
+For s_2 the group is C(s), and the search for s_2 (``symmetry=`` C(s))
+skips partners that cannot be the least of their orbit.  The survivors, and
+every deeper pool of partners, are split by the generators that
+``perm.centralizer_generators`` builds from the centralizer, only when a
+pool needs splitting.  Past s_2 = s nothing is searched: an s_3 that braids
+with s and commutes with it is s (s s_3 s = s_3 s s_3 and s s_3 = s_3 s
+give s = s_3), and so on, so the constant chain (s, ..., s) is the only
+chain through it.  At a leaf the weight is the number of maps in the class,
+so it times |C(G)| must be |C(s)|.  The census records each class by the
+least conjugate under C(s) of its full-cycle image a = s_1 ... s_{k-1},
+found by ``perm.least_conjugate`` from the point table of C(G) without
+walking the orbit of a; the commutator-subgroup census reads the same
+leaves.  census(8,13) takes 1.3 to 1.4 s in 16.6 MB and census(7,14) 3.2 to
+4.2 s in 17.6 MB peak RSS, in process (2-CPU host, Python 3.11.7).
 """
 
 from __future__ import annotations
+
+import functools
 
 from .homs import BraidHom, from_sigma1_alpha
 from .perm import (
     Permutation,
     Record,
     all_partitions,
-    braid_partners,
     canonical_of_cycle_type,
     centralizer_generators,
     conjugation_orbits,
     least_conjugate,
+    relator_solutions,
     tuple_centralizer,
 )
-from .words import alpha_word, perm_image
+from .words import alpha_word, braid_relations, inverse, perm_image
+
+
+# The most strands ``census`` takes.  Each class is rebuilt by
+# ``from_sigma1_alpha`` and checked against all (k - 1)(k - 2)/2 Artin
+# relations, so time and memory grow about as k^2: census(1000, 3) takes
+# 10.4 s and 129 MB of peak RSS, census(2000, 3) 46 s and 474 MB (2-CPU host,
+# Python 3.11.7), and at 10^8 strands the first word of k - 1 letters
+# exhausts memory.
+MAX_STRANDS = 1000
 
 
 class CensusRecord(Record):
@@ -74,6 +87,23 @@ class CensusRecord(Record):
         }
 
 
+@functools.cache
+def _partner_relators(m):
+    """The relations of ``words.braid_relations`` that involve generator
+    m + 1, as relator words lhs rhs^-1, built once per m: it braids with
+    generator m and commutes with generators 1..m-1."""
+    rels = braid_relations(m + 2)
+    return tuple(lhs + inverse(rhs) for lhs, rhs in rels if m + 1 in lhs)
+
+
+def braid_partners(chain, symmetry=None):
+    """Every next image of a chain: every x that braids with its last image
+    and commutes with the others, in increasing order; ``symmetry`` as for
+    ``perm.relator_solutions``."""
+    relators = _partner_relators(len(chain))
+    return relator_solutions(chain[0].degree, relators, chain, symmetry=symmetry)
+
+
 def chain_leaves(k, n, parts):
     """The classes of maps from the k-strand braid group into S(n) whose
     first image is the class-minimal one of the given cycle type, as
@@ -84,7 +114,7 @@ def chain_leaves(k, n, parts):
     # of the prefix: (prefix, weight, its centralizer or None until needed).
     stack = []
     for s2, size in conjugation_orbits(
-        braid_partners(s1, symmetry=root), centralizer_generators(root)
+        braid_partners((s1,), symmetry=root), centralizer_generators(root)
     ):
         if s2 == s1:
             # s3 braids with s2 = s1 and commutes with s1, so s3 = s1, and
@@ -95,7 +125,7 @@ def chain_leaves(k, n, parts):
     while stack:
         chain, weight, cent = stack.pop()
         if len(chain) < k - 1:
-            pool = braid_partners(chain[-1], chain[:-1])
+            pool = braid_partners(chain)
             if len(pool) < 2:
                 stack.extend((chain + (x,), weight, cent) for x in pool)
                 continue
@@ -136,6 +166,8 @@ def census(k, n, workers=1):
     record per conjugacy class, in a deterministic order."""
     if k < 3:
         raise ValueError("k must be >= 3")
+    if k > MAX_STRANDS:
+        raise ValueError("k must be <= %d" % MAX_STRANDS)
     if n < 1:
         raise ValueError("n must be >= 1")
     tasks = [(k, n, parts) for parts in all_partitions(n)]

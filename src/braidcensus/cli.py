@@ -16,7 +16,7 @@ import sys
 
 from . import __version__, cohomology, commutator, homs
 from . import retraction, words
-from .census import census, select
+from .census import MAX_STRANDS, census, select
 from .homs import BraidHom
 from .perm import Permutation
 
@@ -33,13 +33,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, "%s: error: %s\n" % (self.prog, " ".join(message.split())))
 
 
-def _at_least(low):
-    """An argparse type: an integer no smaller than low."""
+def _at_least(low, high=None):
+    """An argparse type: an integer no smaller than low, nor larger than
+    high if it is given."""
 
     def integer(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError("must be >= %d, got %d" % (low, value))
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError("must be <= %d, got %d" % (high, value))
         return value
 
     return integer
@@ -92,27 +95,28 @@ _SIX_POINT_BASES = {
 
 
 def _base_hom(name, n):
+    """The named base on n points; a base too large for its cocycle matrix
+    is refused before it is built, as building it takes O(n^2) relations."""
+    if name in _SIX_POINT_BASES:
+        if n != 6:
+            raise ValueError("this base acts on 6 points")
+        return _SIX_POINT_BASES[name]()
+    k = n if name == "standard" else max(n + 1, 5)
+    cohomology.check_cocycle_size(k, n)
     if name == "standard":
         return homs.standard_hom(n)
-    if name == "cyclic":
-        return homs.cyclic_hom(
-            max(n + 1, 5),
-            Permutation.from_cycles([tuple(range(1, n + 1))], n),
-        )
-    if n != 6:
-        raise ValueError("this base acts on 6 points")
-    return _SIX_POINT_BASES[name]()
+    return homs.cyclic_hom(k, Permutation.from_cycles([tuple(range(1, n + 1))], n))
 
 
 def _cmd_cohomology(args):
     try:
         base = _base_hom(args.base, args.n)
-    except ValueError as exc:
-        raise InputError("no %s base on %d points: %s" % (args.base, args.n, exc))
-    try:
         invariants = cohomology.h1_invariants(base, args.r)
     except ValueError as exc:
-        raise InputError("cannot take H^1 over the %s base: %s" % (args.base, exc))
+        raise InputError(
+            "cannot take H^1 over the %s base on %d points: %s"
+            % (args.base, args.n, exc)
+        )
     _emit(
         {
             "command": "cohomology",
@@ -163,9 +167,12 @@ def _cmd_hom(args):
         "alpha_cycles": hom.alpha().cycle_string(),
         "beta_cycles": hom.beta().cycle_string(),
     }
-    if args.word:
+    if args.word is not None:
         try:
-            w = words.word(json.loads(args.word))
+            letters = json.loads(args.word)
+            if not isinstance(letters, list):
+                raise ValueError("expected a JSON list of letters")
+            w = words.word(letters)
             image = hom(w)
         except (ValueError, TypeError) as exc:
             raise InputError("bad --word %s: %s" % (args.word, exc))
@@ -307,7 +314,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("census", help="enumerate homomorphism classes")
-    p.add_argument("k", type=_at_least(3), help="number of strands")
+    p.add_argument("k", type=_at_least(3, MAX_STRANDS), help="number of strands")
     p.add_argument("n", type=_at_least(1), help="number of points")
     p.add_argument(
         "--workers",

@@ -29,6 +29,20 @@ from .words import braid_relations
 MAX_COCYCLE_ENTRIES = 5_000_000
 
 
+def check_cocycle_size(m, t):
+    """``ValueError`` if the cocycle matrix of a base of m strands on t
+    points would hold more than MAX_COCYCLE_ENTRIES entries: t rows for each
+    of the (m - 1)(m - 2)/2 relations of ``words.braid_relations``, and
+    (m - 1) t columns.  It needs only m and t, so a caller can refuse a base
+    before it builds it."""
+    entries = (m - 1) * (m - 2) // 2 * t * (m - 1) * t
+    if entries > MAX_COCYCLE_ENTRIES:
+        raise ValueError(
+            "the cocycle matrix of %d strands on %d points would hold %d "
+            "entries, over the limit of %d" % (m, t, entries, MAX_COCYCLE_ENTRIES)
+        )
+
+
 def cocycle_matrix(omega):
     """Integer matrix whose kernel (over the coefficients) is the cocycle set.
 
@@ -39,16 +53,10 @@ def cocycle_matrix(omega):
     T_s permutes coordinates, (T_s h)[i] = h[s^-1(i)], so row i of letter j
     reads coordinate prefix^-1(i) of z_{g_j}.
 
-    ``ValueError`` if the matrix would hold more than MAX_COCYCLE_ENTRIES
-    entries: t rows per relation, (m - 1) t columns."""
+    ``ValueError`` from ``check_cocycle_size`` if it is too large."""
     m, t = omega.k, omega.n
+    check_cocycle_size(m, t)
     relations = braid_relations(m)
-    entries = len(relations) * t * (m - 1) * t
-    if entries > MAX_COCYCLE_ENTRIES:
-        raise ValueError(
-            "the cocycle matrix of %d strands on %d points would hold %d "
-            "entries, over the limit of %d" % (m, t, entries, MAX_COCYCLE_ENTRIES)
-        )
     # s^-1 on {0..t-1} for each generator image s.
     inverses = [[y - 1 for y in s.inv().images] for s in omega.sigma]
     rows = []

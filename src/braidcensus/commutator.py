@@ -7,9 +7,10 @@ homomorphisms into S(n) up to conjugacy by staging: the c-images satisfy
 the braid relations of k-2 strands among themselves, so they are the leaf
 chains of the braid-group census tree, one per class; two of the
 relations force v = c_2^-1 u c_2 and w = u c_1 u^-1, which turns the
-others into relators in u alone, and ``perm.relator_solutions`` finds
-every u-image that satisfies them; the words are built once per chain
-length, over chain indices that each chain maps onto its images.  The
+others into relators in u and the chain, and ``perm.relator_solutions``
+finds every u-image that satisfies them; the words are built once per
+chain length, with the chain as the images of their letters, so that
+equal chain images cancel as one letter.  The
 u-images of a chain are split into orbits under the chain's centralizer,
 which the leaf carries.  The group is perfect for k >= 5, so every image
 lies in A_n and only the chains with an even c_1 are walked.
@@ -203,32 +204,20 @@ def restrict_braid_hom(hom):
 def _u_relator_words(m):
     """The relations of ``_relations`` that involve u, v or w, with
     v = c2^-1 u c2 and w = u c1 u^-1 substituted, for a chain of m images:
-    words in u and the chain, where None stands for u and i for c_{i+1},
+    relator words in which letter i stands for c_i and m + 1 for u, the
+    format of ``perm.relator_solutions`` with the chain as its images,
     built once per m.  The relations that the substitution makes hold
-    outright reduce to empty words in ``perm.relator_solutions``."""
-
-    def inv(word):
-        return tuple((g, -e) for g, e in reversed(word))
-
-    u = ((None, 1),)
-    c1, c2 = ((0, 1),), ((1, 1),)
-    letters = [u, inv(c2) + u + c2, u + c1 + inv(u)] + [((i, 1),) for i in range(m)]
+    outright reduce to empty words there."""
+    u = m + 1
+    letters = [(u,), (-2, u, 2), (u, 1, -u)] + [(i,) for i in range(1, m + 1)]
     sub = {}
     for g, word in enumerate(letters, 1):
-        sub[g], sub[-g] = word, inv(word)
+        sub[g], sub[-g] = word, inverse(word)
     return tuple(
         tuple(x for g in lhs + inverse(rhs) for x in sub[g])
         for _, lhs, rhs in _relations(m + 3)
         if any(abs(g) <= 3 for g in lhs + rhs)
     )
-
-
-def _u_relators(c):
-    """The words of ``_u_relator_words`` on the chain images c: relator
-    words in u alone for ``perm.relator_solutions``.  Each c_i is the object
-    c[i - 1], so c_i c_j^-1 cancels there if c_i is c_j."""
-    words = _u_relator_words(len(c))
-    return [tuple([(i if i is None else c[i], e) for i, e in w]) for w in words]
 
 
 def _forced_vw(u, c):
@@ -260,7 +249,7 @@ def commutator_census(k, n):
             # even, and so is the rest of the chain, all conjugate to c_1.
             continue
         for chain, _, cent in chain_leaves(k - 2, n, parts):
-            us = relator_solutions(n, _u_relators(chain))
+            us = relator_solutions(n, _u_relator_words(len(chain)), chain)
             for u in us:
                 if not _relations_report(k, u, *_forced_vw(u, chain), chain)[0]:
                     raise RuntimeError("relator search found an invalid u-image")

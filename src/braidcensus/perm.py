@@ -279,25 +279,14 @@ def tuple_conjugacy_witness(aa, bb):
     n = aa[0].degree
     if any(p.degree != n for p in aa + bb):
         raise ValueError("degree mismatch")
+    m, x = len(aa), 2 * len(aa) + 1
     found = relator_solutions(
-        n,
-        [((None, 1), (a, 1), (None, -1), (b, -1)) for a, b in zip(aa, bb)],
-        first=True,
+        n, [(x, i, -x, -m - i) for i in range(1, m + 1)], aa + bb, first=True
     )
     g = found[0] if found else None
     if g is not None and any(p.conj(g) != q for p, q in zip(aa, bb)):
         raise RuntimeError("conjugacy witness fails to conjugate")
     return g
-
-
-def braid_partners(a, commuting=(), symmetry=None):
-    """Every x with a x a = x a x that commutes with each permutation in
-    ``commuting``, in increasing order; ``symmetry`` as for
-    ``relator_solutions``."""
-    x, x_inv = (None, 1), (None, -1)
-    relators = [((a, 1), x, (a, 1), x_inv, (a, -1), x_inv)]
-    relators += [(x, (c, 1), x_inv, (c, -1)) for c in commuting]
-    return relator_solutions(a.degree, relators, symmetry=symmetry)
 
 
 def _then(first, second):
@@ -309,16 +298,16 @@ def _then(first, second):
     return tuple([g[y] for y in f]), tuple([f_inv[y] for y in g_inv])
 
 
-def relator_solutions(n, relators, first=False, symmetry=None):
+def relator_solutions(n, relators, images=(), first=False, symmetry=None):
     """Every x in S(n) for which each relator is the identity, in
     increasing order; with ``first``, only the least one.
 
-    A relator is a word: a sequence of letters (g, e), read as the product
-    g_1^e_1 * g_2^e_2 * ..., where g is a fixed permutation of degree n or
-    None for the unknown x, and the exponent e is 1 or -1.  Letters g^e and
-    g^-e of the same object cancel first, next to each other and across the
-    ends of the word; that changes no solution, it only lets the scans below
-    see further.
+    A relator is a word in the format of ``words``: nonzero signed letters,
+    read as a product left to right.  Letter i is ``images[i - 1]``, -i its
+    inverse, and len(images) + 1 the unknown x; any other letter is a
+    ``ValueError``.  Letters with equal images are one letter, so g and g^-1
+    cancel first, next to each other and across the ends of the word; that
+    changes no solution, it only lets the scans below see further.
 
     Backtracking on the point map of x with the deductions of coset
     enumeration (Sims, Computation with Finitely Presented Groups, ch. 5).
@@ -338,8 +327,8 @@ def relator_solutions(n, relators, first=False, symmetry=None):
     Each branch defines the least point without an image and tries its
     images in increasing order, so solutions come out sorted.
 
-    With a ``tuple_centralizer`` C = C(G) as ``symmetry``, every fixed
-    letter must commute with C (else ``ValueError``), so C permutes the
+    With a ``tuple_centralizer`` C = C(G) as ``symmetry``, every image
+    must commute with C (else ``ValueError``), so C permutes the
     solutions, and the result is a sorted subset that holds the least
     member of each C-orbit (so ``first`` still gives the least solution;
     McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998).  At
@@ -349,20 +338,30 @@ def relator_solutions(n, relators, first=False, symmetry=None):
     point of an untouched copy with its key in C's point table.  Only that
     least free point of each orbit is tried.
     """
+    if any(g.degree != n for g in images):
+        raise ValueError("degree mismatch")
     if symmetry is not None:
         copy_of, orbit_of = symmetry.copy_of, symmetry.orbit_of
         if len(copy_of) != n:
             raise ValueError("degree mismatch")
-        letters = {g for word in relators for g, _ in word if g is not None}
         gens = centralizer_generators(symmetry)
-        if any(g * h != h * g for g in letters for h in gens):
-            raise ValueError("a fixed letter does not commute with C(G)")
+        if any(g * h != h * g for g in set(images) for h in gens):
+            raise ValueError("an image does not commute with C(G)")
 
     img = [-1] * n  # x on {0..n-1}; -1 where not yet chosen
     pre = [-1] * n  # x^-1 likewise
-    # Each fixed letter as the pair (its map, the inverse map) on {0..n-1},
-    # by the id of its object (the relators hold it), then by exponent.
-    tables = {}
+    # Each letter of an image as the least letter with an equal image, and
+    # each such letter as the pair (its map, the inverse map) on {0..n-1}.
+    x = len(images) + 1
+    letter, tables, first_of = {x: x, -x: -x}, {}, {}
+    for i, g in enumerate(images, 1):
+        j = first_of.setdefault(g, i)
+        letter[i], letter[-i] = j, -j
+        if j == i:
+            fwd = tuple([y - 1 for y in g.images])
+            # The inverse lists the points in the order of their images.
+            bwd = tuple(sorted(range(n), key=fwd.__getitem__))
+            tables[i], tables[-i] = (fwd, bwd), (bwd, fwd)
     ident = (tuple(range(n)),) * 2
 
     # A relator is a closed walk: the letters of the word, last one first,
@@ -374,37 +373,26 @@ def relator_solutions(n, relators, first=False, symmetry=None):
     at_x, at_x_inv, equivariant = [], [], []
     for word in relators:
         red = []
-        for g, e in word:
-            if e not in (1, -1):
-                raise ValueError("exponents must be 1 or -1")
-            if red and red[-1][0] is g and red[-1][1] == -e:
+        for g in word:
+            if g not in letter:
+                raise ValueError("letter %r names no image or x, 1..%d" % (g, x))
+            g = letter[g]
+            if red and red[-1] == -g:
                 red.pop()
             else:
-                red.append((g, e))
-        while (
-            len(red) > 1
-            and red[0][0] is red[-1][0]
-            and red[0][1] == -red[-1][1]
-        ):
+                red.append(g)
+        while len(red) > 1 and red[0] == -red[-1]:
             red = red[1:-1]
         red.reverse()
         # segments[0] gathers the fixed letters before the first x-letter;
         # they end the last segment.
         signs, segments = [], [None]
-        for g, e in red:
-            if g is None:
-                signs.append(e)
+        for g in red:
+            if abs(g) == x:
+                signs.append(1 if g > 0 else -1)
                 segments.append(None)
-                continue
-            pairs = tables.get(id(g))
-            if pairs is None:
-                if g.degree != n:
-                    raise ValueError("degree mismatch")
-                fwd = tuple([y - 1 for y in g.images])
-                # The inverse lists the points in the order of their images.
-                bwd = tuple(sorted(range(n), key=fwd.__getitem__))
-                pairs = tables[id(g)] = ((fwd, bwd), (bwd, fwd))
-            segments[-1] = _then(segments[-1], pairs[e < 0])
+            else:
+                segments[-1] = _then(segments[-1], tables[g])
         if not signs:
             # No x: the word holds for every x or for none.
             if segments[0] not in (None, ident):

@@ -15,6 +15,7 @@ from braidcensus.cohomology import (
     hom_from_cocycle,
     smith_normal_form,
 )
+from braidcensus.census import braid_partners
 from braidcensus.homs import (
     BraidHom,
     are_conjugate,
@@ -32,7 +33,6 @@ from braidcensus.homs import (
 from braidcensus.perm import (
     Permutation,
     all_partitions,
-    braid_partners,
     canonical_of_cycle_type,
     centralizer_generators,
     conjugation_orbits,
@@ -154,7 +154,7 @@ def walking_census(k, n):
         s1 = canonical_of_cycle_type(parts, n)
         root = tuple_centralizer((s1,))
         gens = centralizer_generators(root)
-        partners = braid_partners(s1, symmetry=root)
+        partners = braid_partners((s1,), symmetry=root)
         pool = []
         maps = 0
         for s2, s2_orbit in conjugation_orbits(partners, gens):
@@ -166,7 +166,7 @@ def walking_census(k, n):
                     chains = [
                         chain + (x,)
                         for chain in chains
-                        for x in braid_partners(chain[-1], chain[:-1])
+                        for x in braid_partners(chain)
                     ]
             # Conjugating by C(s1) carries the chains through s2 onto those
             # through each member of its orbit.

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from braidcensus.census import CensusRecord, census, chain_leaves, select
+from braidcensus.census import (
+    MAX_STRANDS,
+    CensusRecord,
+    census,
+    chain_leaves,
+    select,
+)
 from braidcensus.homs import BraidHom, from_sigma1_alpha, six_strand_ten_points
 from braidcensus.perm import (
     Permutation,
@@ -178,6 +184,12 @@ def test_census_rejects_too_few_strands():
         census(2, 4)
 
 
+def test_census_rejects_more_strands_than_it_can_hold():
+    for k in (MAX_STRANDS + 1, 10**20):
+        with pytest.raises(ValueError, match="k must be <= %d" % MAX_STRANDS):
+            census(k, 3)
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_census_record_json_round_trip(census_cache, data):
@@ -196,15 +208,27 @@ def test_census_record_json_round_trip(census_cache, data):
 CENSUS_MODULE = sys.modules["braidcensus.census"]
 
 
+def test_partner_relators_are_the_artin_relations_of_the_next_generator():
+    """The partner search reads its relators from ``words.braid_relations``:
+    for a chain of i images, x = letter i + 1 braids with letter i and
+    commutes with letters 1..i-1, as relator words."""
+    for i in range(1, 7):
+        x = i + 1
+        by_hand = {(i, x, i, -x, -i, -x)} | {(x, c, -x, -c) for c in range(1, i)}
+        relators = CENSUS_MODULE._partner_relators(i)
+        assert len(relators) == i
+        assert set(relators) == by_hand
+
+
 def test_a_lost_chain_breaks_the_orbit_count(monkeypatch):
     """Past sigma_2 the centralizer of the prefix maps the partners onto
     themselves, so a partner search that drops a partner leaves the
     centralizer orbits covering more partners than were found."""
     partners = CENSUS_MODULE.braid_partners
 
-    def all_but_the_last(a, commuting=(), symmetry=None):
-        found = partners(a, commuting, symmetry=symmetry)
-        return found[:-1] if commuting else found
+    def all_but_the_last(chain, symmetry=None):
+        found = partners(chain, symmetry=symmetry)
+        return found[:-1] if len(chain) > 1 else found
 
     monkeypatch.setattr(CENSUS_MODULE, "braid_partners", all_but_the_last)
     with pytest.raises(RuntimeError, match="centralizer orbits do not count"):

@@ -10,6 +10,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -224,6 +225,12 @@ def _three_strand_file(tmp_path, **changes):
         lambda tmp: ["hom", _three_strand_file(tmp, sigma=[[2, 1, 3], [1, 3, 2.7]])],
         lambda tmp: ["cohomology", "standard", "60", "2"],
         lambda tmp: ["cohomology", "cyclic", "60", "0"],
+        lambda tmp: ["census", "99999999999999999999", "3"],
+        lambda tmp: ["census", "100000000", "3"],
+        lambda tmp: ["census", "1001", "3"],
+        lambda tmp: ["hom", _three_strand_file(tmp), "--word", '""'],
+        lambda tmp: ["hom", _three_strand_file(tmp), "--word", "{}"],
+        lambda tmp: ["hom", _three_strand_file(tmp), "--word", ""],
     ],
     ids=[
         "census-n-0",
@@ -241,6 +248,12 @@ def _three_strand_file(tmp_path, **changes):
         "float-image",
         "standard-base-too-large",
         "cyclic-base-too-large",
+        "census-strands-overflow",
+        "census-strands-out-of-memory",
+        "census-strands-over-the-bound",
+        "word-a-json-string",
+        "word-a-json-object",
+        "word-empty-text",
     ],
 )
 def test_bad_input_gets_one_line_and_status_2(argv, tmp_path, capsys):
@@ -252,6 +265,19 @@ def test_bad_input_gets_one_line_and_status_2(argv, tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert "error:" in lines[0]
+
+
+@pytest.mark.parametrize("base", ["standard", "cyclic"])
+def test_an_oversize_cohomology_base_is_refused_before_it_is_built(base, capsys):
+    """The entry bound of the cocycle matrix needs only the strands and
+    points of the base, so a 2000-point base, whose O(n^2) Artin relations
+    took over a minute to build and validate, is refused at once."""
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cohomology", base, "2000", "2"])
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.code == 2
+    assert "over the limit" in capsys.readouterr().err
 
 
 def test_a_hom_read_from_stdin_leaves_stdin_open(monkeypatch):

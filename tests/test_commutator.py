@@ -9,7 +9,7 @@ from braidcensus.census import census, chain_leaves
 from braidcensus.commutator import (
     CommutatorHom,
     _relations_report,
-    _u_relators,
+    _u_relator_words,
     commutator_census,
     exceptional_commutator_hom_six,
     generator_words,
@@ -139,7 +139,7 @@ def test_u_search_finds_exactly_the_u_images_that_pass_the_relations(k, n):
                 k, u, c[1].inv() * u * c[1], u * c[0] * u.inv(), c
             )[0]
         ]
-        assert relator_solutions(n, _u_relators(c)) == expected
+        assert relator_solutions(n, _u_relator_words(len(c)), c) == expected
 
 
 def test_an_invalid_u_image_from_the_search_is_an_error(monkeypatch):
@@ -148,8 +148,8 @@ def test_an_invalid_u_image_from_the_search_is_an_error(monkeypatch):
     module = sys.modules["braidcensus.commutator"]
     solutions = module.relator_solutions
 
-    def with_a_stray_u(n, relators):
-        found = solutions(n, relators)
+    def with_a_stray_u(n, relators, images=()):
+        found = solutions(n, relators, images)
         stray = next(u for u in oracles.all_permutations(n) if u not in found)
         return found + [stray]
 
@@ -176,7 +176,7 @@ def test_chains_with_an_odd_c1_have_no_u_image(k):
     checked = 0
     for n in range(1, 9):
         for chain in _odd_chains(k, n):
-            assert relator_solutions(n, _u_relators(chain)) == []
+            assert relator_solutions(n, _u_relator_words(len(chain)), chain) == []
             if n <= 5:
                 for u in oracles.all_permutations(n):
                     v, w = chain[1].inv() * u * chain[1], u * chain[0] * u.inv()
@@ -196,6 +196,6 @@ def test_an_odd_u_image_is_an_error(monkeypatch):
         return tuple(r for r in relations(k) if all(abs(g) > 3 for g in r[1] + r[2]))
 
     monkeypatch.setattr(module, "_relations", chain_relations_only)
-    monkeypatch.setattr(module, "_u_relators", lambda chain: [])
+    monkeypatch.setattr(module, "_u_relator_words", lambda m: ())
     with pytest.raises(RuntimeError, match="B'_k is perfect"):
         commutator_census(5, 5)

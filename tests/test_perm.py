@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from braidcensus.census import CensusRecord
+from braidcensus.census import CensusRecord, braid_partners
 from braidcensus.commutator import CommutatorHom, standard_commutator_hom
 from braidcensus.homs import BraidHom, standard_hom
 from braidcensus.perm import (
@@ -21,7 +21,6 @@ from braidcensus.perm import (
     RComponent,
     TupleCentralizer,
     all_partitions,
-    braid_partners,
     canonical_of_cycle_type,
     centralizer_generators,
     conjugation_orbits,
@@ -31,6 +30,7 @@ from braidcensus.perm import (
     tuple_centralizer,
     tuple_conjugacy_witness,
 )
+from braidcensus.words import perm_image
 
 
 def test_cycle_text_parsing_and_composition_convention():
@@ -395,12 +395,19 @@ def test_class_representatives_cover_all_partitions():
 def test_braid_partners_match_a_scan_of_the_symmetric_group():
     for n in range(1, 6):
         sym = oracles.all_permutations(n)
+        sample = sym[:: max(1, len(sym) // 10)]
         for a in oracles.conjugacy_class_representatives(n):
             braiding = [x for x in sym if a * x * a == x * a * x]
-            assert braid_partners(a) == braiding
-            for c in sym[:: max(1, len(sym) // 10)]:
-                assert braid_partners(a, (c,)) == [
-                    x for x in braiding if x * c == c * x
+            assert braid_partners((a,)) == braiding
+            for c in sample:
+                commuting = [x for x in braiding if x * c == c * x]
+                assert braid_partners((c, a)) == commuting
+            # three-image chains: x braids with a, commutes with c and d
+            for c, d in itertools.product(sample[::2], repeat=2):
+                assert braid_partners((c, d, a)) == [
+                    x
+                    for x in sym
+                    if a * x * a == x * a * x and x * c == c * x and x * d == d * x
                 ]
 
 
@@ -410,8 +417,8 @@ def _assert_orbit_leasts_kept(a, commuting=(), symmetry=None):
     of every orbit of that centralizer; returns how many it skips."""
     if symmetry is None:
         symmetry = tuple_centralizer((a,))
-    full = braid_partners(a, commuting)
-    cut = braid_partners(a, commuting, symmetry=symmetry)
+    full = braid_partners(commuting + (a,))
+    cut = braid_partners(commuting + (a,), symmetry=symmetry)
     assert cut == sorted(cut)
     assert set(cut) <= set(full)
     gens = centralizer_generators(symmetry)
@@ -424,21 +431,20 @@ def _assert_orbit_leasts_kept(a, commuting=(), symmetry=None):
 
 
 def test_symmetric_search_keeps_the_least_member_of_every_orbit():
-    x, x_inv = (None, 1), (None, -1)
     skipped = 0
     for n in range(1, 8):
         for a in oracles.conjugacy_class_representatives(n):
             root = tuple_centralizer((a,))
             _assert_orbit_leasts_kept(a)
-            braiding = [((a, 1), x, (a, 1), x_inv, (a, -1), x_inv)]
+            braiding = [(1, 2, 1, -2, -1, -2)]
             assert relator_solutions(
-                n, braiding, first=True, symmetry=root
-            ) == relator_solutions(n, braiding, first=True)
+                n, braiding, (a,), first=True, symmetry=root
+            ) == relator_solutions(n, braiding, (a,), first=True)
             if n > 6:
                 continue
             # the census's level-3 search, s3 braiding with s2 and commuting
             # with a, under the centralizer of the prefix (a, s2)
-            for s2 in braid_partners(a, symmetry=root):
+            for s2 in braid_partners((a,), symmetry=root):
                 cent = tuple_centralizer((a, s2))
                 skipped += _assert_orbit_leasts_kept(s2, (a,), symmetry=cent)
     # pairs whose group has isomorphic orbits, where C_m need not be
@@ -450,7 +456,7 @@ def test_symmetric_search_keeps_the_least_member_of_every_orbit():
             cent = tuple_centralizer((a, c))
             skipped += _assert_orbit_leasts_kept(a, (c,), symmetry=cent)
     assert skipped > 0
-    # a fixed letter that every element of C(b) commutes with
+    # an image that every element of C(b) commutes with
     b = Permutation.from_cycles("(1,2)(3,4,5)", 6)
     _assert_orbit_leasts_kept(b, (Permutation.from_cycles("(3,4,5)", 6),))
 
@@ -459,31 +465,53 @@ def test_symmetric_search_refuses_letters_outside_the_centralizer():
     a = Permutation.from_cycles("(1,2)(3,4)", 5)
     cent = tuple_centralizer((a,))
     with pytest.raises(ValueError, match="commute"):
-        braid_partners(a, (Permutation.from_cycles("(1,3)", 5),), symmetry=cent)
+        braid_partners((Permutation.from_cycles("(1,3)", 5), a), symmetry=cent)
     # (1,2) commutes with a but not with (1,3)(2,4) in C(a), so C(a) does
     # not permute the solutions
     with pytest.raises(ValueError, match="commute"):
-        braid_partners(a, (Permutation.from_cycles("(1,2)", 5),), symmetry=cent)
-    with pytest.raises(ValueError, match="degree mismatch"):
+        braid_partners((Permutation.from_cycles("(1,2)", 5), a), symmetry=cent)
+    # an image that no relator names is checked all the same
+    with pytest.raises(ValueError, match="commute"):
         relator_solutions(
-            5, [((None, 1), (None, 1))], symmetry=tuple_centralizer((a.extend(6),))
+            5, [(2, 2)], (Permutation.from_cycles("(1,3)", 5),), symmetry=cent
         )
+    with pytest.raises(ValueError, match="degree mismatch"):
+        relator_solutions(5, [(1, 1)], symmetry=tuple_centralizer((a.extend(6),)))
 
 
-def _evaluate(word, x):
-    out = Permutation.identity(x.degree)
-    for g, e in word:
-        g = x if g is None else g
-        out = out * (g if e == 1 else g.inv())
-    return out
+def _as_letters(relators):
+    """Relators drawn as (permutation or None, +-1) pairs, as words for
+    ``relator_solutions``: each occurrence of a permutation is a letter of
+    its own, so that equal images cancel only by the search's alias, and
+    None is x, the letter after them.  Returns (words, images)."""
+    images = [g for word in relators for g, _ in word if g is not None]
+    x, i = len(images) + 1, 0
+    words = []
+    for word in relators:
+        letters = []
+        for g, e in word:
+            if g is not None:
+                i += 1
+            letters.append(e * (x if g is None else i))
+        words.append(tuple(letters))
+    return words, tuple(images)
 
 
-def _solutions_by_scan(n, relators):
+def _solutions_by_scan(n, words, images=()):
     return [
         x
         for x in oracles.all_permutations(n)
-        if all(_evaluate(w, x).is_identity() for w in relators)
+        if all(perm_image(w, images + (x,)).is_identity() for w in words)
     ]
+
+
+def _assert_drawn_relators_solved(n, relators):
+    """The search on drawn relators matches the scan; whether it found any."""
+    words, images = _as_letters(relators)
+    expected = _solutions_by_scan(n, words, images)
+    assert relator_solutions(n, words, images) == expected
+    assert relator_solutions(n, words, images, first=True) == expected[:1]
+    return bool(expected)
 
 
 def test_relator_solutions_match_a_scan_of_the_symmetric_group():
@@ -499,38 +527,43 @@ def test_relator_solutions_match_a_scan_of_the_symmetric_group():
             )
             for _ in range(rng.randint(1, 2))
         ]
-        expected = _solutions_by_scan(n, relators)
-        assert relator_solutions(n, relators) == expected
-        assert relator_solutions(n, relators, first=True) == expected[:1]
+        _assert_drawn_relators_solved(n, relators)
 
 
 def test_relator_solutions_edge_cases():
     n = 3
     a = Permutation.from_cycles("(1,2)", n)
-    x, x_inv = (None, 1), (None, -1)
-    # words that reduce to nothing, or to a letter without x
+    # words that reduce to nothing, or to a letter without x; with a as
+    # letter 1, x is letter 2
     sym = list(oracles.all_permutations(n))
-    assert relator_solutions(n, [(x, x_inv)]) == sym
-    assert relator_solutions(n, [(x, (a, 1), (a, -1), x_inv)]) == sym
-    assert relator_solutions(n, [(x, (a, 1), x_inv)]) == []
-    assert relator_solutions(n, [(x, (a, 1), (a, 1), x_inv)]) == sym
+    assert relator_solutions(n, [(1, -1)]) == sym
+    assert relator_solutions(n, [(2, 1, -1, -2)], (a,)) == sym
+    assert relator_solutions(n, [(2, 1, -2)], (a,)) == []
+    assert relator_solutions(n, [(2, 1, 1, -2)], (a,)) == sym
+    # a letter that names no image or x
+    for word in ((2, 3), (2, -3), (0,)):
+        with pytest.raises(ValueError, match="names no image"):
+            relator_solutions(n, [word], (a,))
     with pytest.raises(ValueError):
-        relator_solutions(n, [(x, (a, 2))])
-    with pytest.raises(ValueError):
-        relator_solutions(n, [(x, (Permutation.identity(4), 1))])
+        relator_solutions(n, [(2, 1)], (Permutation.identity(4),))
+    # equal images are one letter: a^-1 as letter 2 cancels a as letter 1
+    assert relator_solutions(n, [(3, 1, -2, -3)], (a, a)) == sym
+    ident = Permutation.identity(n)
+    assert relator_solutions(n, [(1, 3, -2, -3)], (a, a)) == [ident, a]
     # x^e g^f x^-e h^d: a same-sign pair x g x h is left to the scans; an
     # identity letter makes x(p) = h(x(p)) hold for every x or for none
     h = Permutation.from_cycles("(1,3)", n)
-    ident = Permutation.identity(n)
-    for word in ((x, (a, 1), x, (h, 1)), (x, (a, 1), x, (a, -1))):
-        assert relator_solutions(n, [word]) == _solutions_by_scan(n, [word])
-    assert relator_solutions(n, [(x, (ident, 1), x_inv, (ident, -1))]) == sym
-    assert relator_solutions(n, [(x, (ident, 1), x_inv, (h, 1))]) == []
-    assert relator_solutions(n, [(x, (h, 1), x_inv, (ident, 1))]) == []
+    for word, images in (((3, 1, 3, 2), (a, h)), ((2, 1, 2, -1), (a,))):
+        assert relator_solutions(n, [word], images) == _solutions_by_scan(
+            n, [word], images
+        )
+    assert relator_solutions(n, [(2, 1, -2, -1)], (ident,)) == sym
+    assert relator_solutions(n, [(3, 1, -3, 2)], (ident, h)) == []
+    assert relator_solutions(n, [(3, 2, -3, 1)], (ident, h)) == []
     with pytest.raises(ValueError):
-        relator_solutions(n, [(x, (a, 1), x_inv, (ident.extend(4), -1))])
+        relator_solutions(n, [(3, 1, -3, -2)], (a, ident.extend(4)))
     one = Permutation.identity(1)
-    assert relator_solutions(1, [(x, (one, 1), x_inv, (one, -1))]) == [one]
+    assert relator_solutions(1, [(2, 1, -2, -1)], (one,)) == [one]
 
 
 def test_equivariance_relators_match_a_scan_of_the_symmetric_group():
@@ -559,10 +592,7 @@ def test_equivariance_relators_match_a_scan_of_the_symmetric_group():
             a = rng.choice([x0, rng.choice(sym)])
             braid = ((a, 1), x, (a, 1), x_inv, (a, -1), x_inv)
             relators.insert(rng.randrange(len(relators) + 1), braid)
-        expected = _solutions_by_scan(n, relators)
-        nonempty += bool(expected)
-        assert relator_solutions(n, relators) == expected
-        assert relator_solutions(n, relators, first=True) == expected[:1]
+        nonempty += _assert_drawn_relators_solved(n, relators)
     assert nonempty >= 100
 
 
@@ -600,7 +630,8 @@ def test_segment_relators_match_a_scan_of_the_symmetric_group():
                 word = [(None, e)] + run(1, 3) + [(None, -e)] + run(0, 2)
             # most words end with a letter that makes x0 a solution
             if rng.random() < 0.8:
-                word.append((_evaluate(word, x0), -1))
+                (letters,), images = _as_letters([word])
+                word.append((perm_image(letters, images + (x0,)), -1))
             elif word[-1][0] is None:
                 word += run(1, 1)
             r = rng.randrange(len(word))
@@ -609,10 +640,7 @@ def test_segment_relators_match_a_scan_of_the_symmetric_group():
             a = rng.choice([x0, rng.choice(sym)])
             braid = ((a, 1), x, (a, 1), x_inv, (a, -1), x_inv)
             relators.insert(rng.randrange(len(relators) + 1), braid)
-        expected = _solutions_by_scan(n, relators)
-        nonempty += bool(expected)
-        assert relator_solutions(n, relators) == expected
-        assert relator_solutions(n, relators, first=True) == expected[:1]
+        nonempty += _assert_drawn_relators_solved(n, relators)
     assert nonempty >= 100
 
 
@@ -621,7 +649,7 @@ def test_a_partner_that_commutes_with_its_base_is_the_base():
     chain is constant."""
     for n in range(1, 8):
         for a in oracles.conjugacy_class_representatives(n):
-            assert braid_partners(a, (a,)) == [a]
+            assert braid_partners((a, a)) == [a]
 
 
 def test_conjugation_orbits_of_single_permutations_are_the_classes():
