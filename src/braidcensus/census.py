@@ -54,11 +54,20 @@ from .words import alpha_word, braid_relations, inverse, perm_image
 
 # The most strands ``census`` takes.  Each class is rebuilt by
 # ``from_sigma1_alpha`` and checked against all (k - 1)(k - 2)/2 Artin
-# relations, so time and memory grow about as k^2: census(1000, 3) takes
-# 10.4 s and 129 MB of peak RSS, census(2000, 3) 46 s and 474 MB (2-CPU host,
-# Python 3.11.7), and at 10^8 strands the first word of k - 1 letters
+# relations, one at a time, so time grows about as k^2: census(1000, 3)
+# takes 7.7 s and census(2000, 3) 42 s, both in 16 MB of peak RSS (2-CPU
+# host, Python 3.11.7), and at 10^8 strands the first word of k - 1 letters
 # exhausts memory.
 MAX_STRANDS = 1000
+
+# The most points ``census`` and ``commutator_census`` take.  The time grows
+# about x2.2 to x2.8 a point: census(3, n) takes 3.2 s at n = 14, 6.7 s at
+# 15 and 18 s at 16 (2-CPU host, Python 3.11.7), so n = 24 is already most
+# of a day.  Past that no run finishes, and from about n = 60 the list of
+# the partitions of n, built before the first search, exhausts memory:
+# all_partitions(60) takes 3.2 s and 179 MB, and census(3, 80) dies of a
+# MemoryError under a 2 GB address limit after 43 s.
+MAX_POINTS = 24
 
 
 class CensusRecord(Record):
@@ -170,6 +179,8 @@ def census(k, n, workers=1):
         raise ValueError("k must be <= %d" % MAX_STRANDS)
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > MAX_POINTS:
+        raise ValueError("n must be <= %d" % MAX_POINTS)
     tasks = [(k, n, parts) for parts in all_partitions(n)]
     if workers > 1:
         # One cycle type per task: the slowest cycle types come last, and

@@ -16,9 +16,9 @@ import sys
 
 from . import __version__, cohomology, commutator, homs
 from . import retraction, words
-from .census import MAX_STRANDS, census, select
+from .census import MAX_POINTS, MAX_STRANDS, census, select
 from .homs import BraidHom
-from .perm import Permutation
+from .perm import Permutation, integer
 
 SCHEMA = 1
 
@@ -130,12 +130,18 @@ def _cmd_cohomology(args):
 
 
 def _read_hom(path):
+    """The map in a JSON file, or in stdin for ``-``; a strand count past
+    ``census.MAX_STRANDS`` is refused before its Artin relations are checked."""
     try:
         if path == "-":
             # Read stdin without closing it: a later caller may need it.
-            return BraidHom.from_json(json.load(sys.stdin))
-        with open(path) as fh:
-            return BraidHom.from_json(json.load(fh))
+            data = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                data = json.load(fh)
+        if integer(data["k"]) > MAX_STRANDS:
+            raise ValueError("k must be <= %d" % MAX_STRANDS)
+        return BraidHom.from_json(data)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InputError("cannot read a homomorphism from %s: %s" % (path, exc))
 
@@ -315,7 +321,7 @@ def build_parser():
 
     p = sub.add_parser("census", help="enumerate homomorphism classes")
     p.add_argument("k", type=_at_least(3, MAX_STRANDS), help="number of strands")
-    p.add_argument("n", type=_at_least(1), help="number of points")
+    p.add_argument("n", type=_at_least(1, MAX_POINTS), help="number of points")
     p.add_argument(
         "--workers",
         type=_at_least(1),
@@ -329,8 +335,8 @@ def build_parser():
     p = sub.add_parser(
         "census-bprime", help="enumerate commutator-subgroup classes"
     )
-    p.add_argument("k", type=int, choices=(5, 6))
-    p.add_argument("n", type=_at_least(1))
+    p.add_argument("k", type=_at_least(5, MAX_STRANDS), help="5..%d" % MAX_STRANDS)
+    p.add_argument("n", type=_at_least(1, MAX_POINTS), help="number of points")
     p.set_defaults(func=_cmd_census_commutator)
 
     p = sub.add_parser("cohomology", help="first cohomology of a block base")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 
-from .census import chain_leaves
+from .census import MAX_POINTS, MAX_STRANDS, chain_leaves
 from .perm import (
     Permutation,
     GeneratedGroup,
@@ -200,16 +200,19 @@ def restrict_braid_hom(hom):
     )
 
 
+def _vw_words(m):
+    """v = c2^-1 u c2 and w = u c1 u^-1, in the letters of ``_u_relator_words``."""
+    return (-2, m + 1, 2), (m + 1, 1, -m - 1)
+
+
 @functools.cache
 def _u_relator_words(m):
-    """The relations of ``_relations`` that involve u, v or w, with
-    v = c2^-1 u c2 and w = u c1 u^-1 substituted, for a chain of m images:
-    relator words in which letter i stands for c_i and m + 1 for u, the
-    format of ``perm.relator_solutions`` with the chain as its images,
-    built once per m.  The relations that the substitution makes hold
-    outright reduce to empty words there."""
-    u = m + 1
-    letters = [(u,), (-2, u, 2), (u, 1, -u)] + [(i,) for i in range(1, m + 1)]
+    """The relations of ``_relations`` that involve u, v or w, with v and w
+    of ``_vw_words`` substituted, as relator words for a chain of m images:
+    letter i stands for c_i and m + 1 for u, the format of
+    ``perm.relator_solutions`` with the chain as its images.  Built once per
+    m; a relation that the substitution makes hold outright is empty."""
+    letters = [(m + 1,), *_vw_words(m)] + [(i,) for i in range(1, m + 1)]
     sub = {}
     for g, word in enumerate(letters, 1):
         sub[g], sub[-g] = word, inverse(word)
@@ -220,28 +223,25 @@ def _u_relator_words(m):
     )
 
 
-def _forced_vw(u, c):
-    """The v- and w-images that the u-image forces on the chain images c:
-    v = c2^-1 u c2 and w = u c1 u^-1."""
-    return c[1].inv() * u * c[1], u * c[0] * u.inv()
-
-
 def commutator_census(k, n):
     """All homomorphisms of the commutator subgroup into S(n), one per
-    conjugacy class, for k in {5, 6}, sorted by (c_1, ..., c_{k-3}, u).
+    conjugacy class, for 5 <= k <= ``census.MAX_STRANDS`` and
+    n <= ``census.MAX_POINTS``, sorted by (c_1, ..., c_{k-3}, u).
 
     The chains c_1..c_{k-3} are the leaves of ``census.chain_leaves`` for
     k-2 strands; the u-relator words are built once and put on each chain.
     B'_k is perfect, so its image lies in A_n: only the even cycle types
     of c_1 are walked, and a u-image that passes the relations but is odd
-    is an error.  Every u-image of a chain is validated against every
-    relation, and one u per orbit of the chain's centralizer is kept, the
-    least.  A leaf chain is the least member of its orbit under the
-    centralizer of c_1, so each class is printed by the least member of
+    is an error.  Building its ``CommutatorHom`` validates each u-image
+    against every relation, and the least u of each orbit of the chain's
+    centralizer is kept.  A leaf chain is the least member of its orbit under
+    the centralizer of c_1, so each class is printed by the least member of
     its orbit of (c_2, ..., c_{k-3}, u) under that centralizer.
     """
-    if k not in (5, 6):
-        raise ValueError("the staged census is provided for k in {5, 6}")
+    if not 5 <= k <= MAX_STRANDS:
+        raise ValueError("k must be in 5..%d" % MAX_STRANDS)
+    if n > MAX_POINTS:
+        raise ValueError("n must be <= %d" % MAX_POINTS)
     found = []
     for parts in all_partitions(n):
         if sum(p - 1 for p in parts) % 2:
@@ -250,8 +250,12 @@ def commutator_census(k, n):
             continue
         for chain, _, cent in chain_leaves(k - 2, n, parts):
             us = relator_solutions(n, _u_relator_words(len(chain)), chain)
+            homs = {}
             for u in us:
-                if not _relations_report(k, u, *_forced_vw(u, chain), chain)[0]:
+                vw = (perm_image(x, chain + (u,)) for x in _vw_words(len(chain)))
+                try:
+                    homs[u] = CommutatorHom(k, n, u, *vw, chain)
+                except ValueError:
                     raise RuntimeError("relator search found an invalid u-image")
                 if not u.is_even():
                     raise RuntimeError(
@@ -259,12 +263,10 @@ def commutator_census(k, n):
                         "lies in A_n: the relations present another group"
                     )
             if len(us) > 1:
-                # C(chain) maps the u-images onto themselves, so one u-image
-                # is its own orbit and needs no generators.
+                # C(chain) fixes a lone u-image, so it needs no generators.
                 gens = centralizer_generators(cent)
                 us = [u for u, _ in conjugation_orbits(us, gens)]
-            found.extend((chain, u) for u in us)
-    return [
-        CommutatorHom(k, n, u, *_forced_vw(u, chain), chain)
-        for chain, u in sorted(found)
-    ]
+            if not homs.keys() >= set(us):
+                raise RuntimeError("a centralizer orbit leaves the u-images")
+            found.extend(homs[u] for u in us)
+    return sorted(found, key=lambda h: (h.c, h.u))

@@ -44,9 +44,13 @@ def commutator(g1, g2):
 def braid_relations(k):
     """The Artin relations of the k-strand braid group as (lhs, rhs) pairs
     of positive words: the far commutations s_q s_p = s_p s_q for
-    q > p + 1, then the braidings s_p s_{p+1} s_p = s_{p+1} s_p s_{p+1}."""
-    far = [((q, p), (p, q)) for p in range(1, k - 1) for q in range(p + 2, k)]
-    return far + [((p, p + 1, p), (p + 1, p, p + 1)) for p in range(1, k - 1)]
+    q > p + 1, then the braidings s_p s_{p+1} s_p = s_{p+1} s_p s_{p+1}.
+    They are yielded one at a time: there are (k - 1)(k - 2)/2 of them."""
+    for p in range(1, k - 1):
+        for q in range(p + 2, k):
+            yield (q, p), (p, q)
+    for p in range(1, k - 1):
+        yield (p, p + 1, p), (p + 1, p, p + 1)
 
 
 def free_reduce(w):

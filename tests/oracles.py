@@ -6,6 +6,7 @@ tests feed to the census.  They are meant for tiny inputs only, and nothing
 in ``src`` imports them.
 """
 
+import fractions
 import functools
 import itertools
 import math
@@ -228,6 +229,76 @@ def class_match(found, expected):
         assert len(matches) == 1, (h.to_json(), matches)
         hits.append(matches[0])
     assert len(set(hits)) == len(hits), hits
+
+
+# Counting maps, independently of the search.
+
+
+def map_counts(records):
+    """(h, t) for the census records of one (k, n): how many maps into S(n)
+    the classes hold, and how many of them are transitive.  A class whose
+    first image s has centralizer C(s) holds n! / |C(s)| * orbit_size maps:
+    orbit_size chains for each conjugate of s."""
+    h = t = 0
+    for rec in records:
+        s = rec.hom.sigma[0]
+        maps = math.factorial(s.degree) // centralizer_order(s) * rec.orbit_size
+        h += maps
+        t += maps if rec.transitive else 0
+    return h, t
+
+
+def exponential_transform(t):
+    """h_0..h_N from t_1..t_N (t[0] is not read) by the exponential formula
+    sum h_n x^n / n! = exp(sum t_n x^n / n!): an action on n points is a
+    transitive action on the orbit of point n, of some j points, and any
+    action on the other n - j, so h_n = sum_j C(n - 1, j - 1) t_j h_{n-j}
+    (M. Hall, Canad. J. Math. 1949; Stanley, Enumerative Combinatorics 2,
+    ch. 5)."""
+    h = [1]
+    for n in range(1, len(t)):
+        h.append(
+            sum(math.comb(n - 1, j - 1) * t[j] * h[n - j] for j in range(1, n + 1))
+        )
+    return h
+
+
+def root_count(parts, m):
+    """The number of m-th roots in S(n) of a permutation of cycle type parts
+    (fixed points as parts 1).  A root x is a product of cycles of length
+    d L, each of whose m-th power is d cycles of length L, which needs
+    d | m and gcd(L, m / d) = 1; d given L-cycles join into such a cycle in
+    L^(d-1) (d-1)! ways.  So the a cycles of length L have a! [y^a] of
+    exp(sum L^(d-1) y^d / d) roots, and the lengths multiply."""
+    total = 1
+    for length in set(parts):
+        a = parts.count(length)
+        f = {
+            d: fractions.Fraction(length ** (d - 1), d)
+            for d in range(1, m + 1)
+            if m % d == 0 and math.gcd(length, m // d) == 1
+        }
+        # g = exp(f) by g' = f' g: i g_i = sum_d d f_d g_(i-d).
+        g = [fractions.Fraction(1)]
+        for i in range(1, a + 1):
+            g.append(sum(d * f[d] * g[i - d] for d in f if d <= i) / i)
+        total *= g[a] * math.factorial(a)
+    return int(total)
+
+
+def three_strand_map_count(n):
+    """|Hom(B_3, S(n))| without the census: B_3 = <x, y | x^2 = y^3> with
+    x = s1 s2 s1 and y = s1 s2, so a map is a pair of a square root and a
+    cube root of one z, and the count is the sum over z of r_2(z) r_3(z),
+    r_m depending only on the cycle type of z."""
+    total = 0
+    for parts in all_partitions(n):
+        class_size = math.factorial(n) // math.prod(
+            length ** parts.count(length) * math.factorial(parts.count(length))
+            for length in set(parts)
+        )
+        total += class_size * root_count(parts, 2) * root_count(parts, 3)
+    return total
 
 
 # Cocycles over Z/r, by exhaustion.

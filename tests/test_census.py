@@ -3,6 +3,7 @@
 import itertools
 import json
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from braidcensus.census import (
+    MAX_POINTS,
     MAX_STRANDS,
     CensusRecord,
     census,
@@ -188,6 +190,38 @@ def test_census_rejects_more_strands_than_it_can_hold():
     for k in (MAX_STRANDS + 1, 10**20):
         with pytest.raises(ValueError, match="k must be <= %d" % MAX_STRANDS):
             census(k, 3)
+
+
+def test_census_rejects_more_points_than_can_finish():
+    for n in (MAX_POINTS + 1, 80):
+        with pytest.raises(ValueError, match="n must be <= %d" % MAX_POINTS):
+            census(3, n)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_censuses_of_fewer_points_count_every_intransitive_map(census_cache, k):
+    """The exponential formula: the maps of census(k, n), counted from
+    orbit sizes, are what the transitive maps of the censuses of at most n
+    points make, for n <= 10.  A search that loses whole centralizer orbits
+    passes every runtime check of the census but not this count.  Budget:
+    5 s per k (about 0.4 s when run alone)."""
+    start = time.monotonic()
+    counts = [oracles.map_counts(census_cache(k, n)) for n in range(1, 11)]
+    h = [1] + [h for h, _ in counts]
+    t = [0] + [t for _, t in counts]
+    assert oracles.exponential_transform(t) == h
+    assert time.monotonic() - start < 5.0
+
+
+def test_three_strand_censuses_count_the_pairs_of_roots(census_cache):
+    """|Hom(B_3, S(n))| from root counts per cycle type, which use no
+    search, equals the map count of census(3, n) for n <= 11.  Budget: 5 s
+    (about 0.6 s when run alone)."""
+    start = time.monotonic()
+    for n in range(1, 12):
+        h, _ = oracles.map_counts(census_cache(3, n))
+        assert h == oracles.three_strand_map_count(n), n
+    assert time.monotonic() - start < 5.0
 
 
 @settings(max_examples=100, deadline=None)

@@ -16,6 +16,7 @@ import pytest
 
 import braidcensus
 from braidcensus import cli
+from braidcensus.census import MAX_POINTS, MAX_STRANDS
 from braidcensus.homs import five_strand_six_points, standard_hom
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -231,6 +232,11 @@ def _three_strand_file(tmp_path, **changes):
         lambda tmp: ["hom", _three_strand_file(tmp), "--word", '""'],
         lambda tmp: ["hom", _three_strand_file(tmp), "--word", "{}"],
         lambda tmp: ["hom", _three_strand_file(tmp), "--word", ""],
+        lambda tmp: ["census", "3", str(MAX_POINTS + 1)],
+        lambda tmp: ["census", "3", "80"],
+        lambda tmp: ["census-bprime", "5", "80"],
+        lambda tmp: ["census-bprime", "4", "5"],
+        lambda tmp: ["census-bprime", str(MAX_STRANDS + 1), "3"],
     ],
     ids=[
         "census-n-0",
@@ -254,6 +260,11 @@ def _three_strand_file(tmp_path, **changes):
         "word-a-json-string",
         "word-a-json-object",
         "word-empty-text",
+        "census-points-over-the-bound",
+        "census-points-out-of-memory",
+        "bprime-points-out-of-memory",
+        "bprime-too-few-strands",
+        "bprime-strands-over-the-bound",
     ],
 )
 def test_bad_input_gets_one_line_and_status_2(argv, tmp_path, capsys):
@@ -278,6 +289,27 @@ def test_an_oversize_cohomology_base_is_refused_before_it_is_built(base, capsys)
     assert time.perf_counter() - start < 1.0
     assert exc.value.code == 2
     assert "over the limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["hom", "retract"])
+def test_a_hom_file_past_the_strand_bound_is_refused_before_it_is_built(
+    command, tmp_path, capsys
+):
+    """A map on MAX_STRANDS + 1 strands would be checked against about
+    half a million Artin relations; a 3000-strand file kept ``hom`` busy
+    for half a minute.  The strand count is refused as the file is read."""
+    path = tmp_path / "wide.json"
+    k = MAX_STRANDS + 1
+    path.write_text(json.dumps({"k": k, "n": 1, "sigma": [[1]] * (k - 1)}))
+    argv = [command, str(path)] + (["2"] if command == "retract" else [])
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert "k must be <= %d" % MAX_STRANDS in lines[0]
 
 
 def test_a_hom_read_from_stdin_leaves_stdin_open(monkeypatch):

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import oracles
-from braidcensus.census import census, chain_leaves
+from braidcensus.census import MAX_POINTS, MAX_STRANDS, census, chain_leaves
 from braidcensus.commutator import (
     CommutatorHom,
     _relations_report,
@@ -66,8 +66,13 @@ def test_conjugation_and_serialization():
 
 
 def test_census_rejects_unsupported_strand_counts():
-    with pytest.raises(ValueError):
-        commutator_census(7, 7)
+    """The Gorin-Lin presentation holds for every k >= 5; past the census
+    bounds on strands and points no run finishes."""
+    for k in (4, MAX_STRANDS + 1):
+        with pytest.raises(ValueError, match="k must be in 5..%d" % MAX_STRANDS):
+            commutator_census(k, 3)
+    with pytest.raises(ValueError, match="n must be <= %d" % MAX_POINTS):
+        commutator_census(5, MAX_POINTS + 1)
 
 
 def test_no_nontrivial_maps_into_fewer_points():
@@ -77,11 +82,16 @@ def test_no_nontrivial_maps_into_fewer_points():
     assert records == []
 
 
-@pytest.mark.parametrize("k,n", [(k, n) for k in (5, 6) for n in range(1, 8)])
+@pytest.mark.parametrize(
+    "k,n",
+    [(k, n) for k in (5, 6) for n in range(1, 8)]
+    + [(k, n) for k in (7, 8, 9) for n in range(1, k + 3)],
+)
 def test_each_braid_class_restricts_to_one_commutator_class(census_cache, k, n):
     """Every class of census(k, n), restricted to the commutator subgroup,
     is conjugate to exactly one commutator_census(k, n) class, and every
-    commutator class is such a restriction."""
+    commutator class is such a restriction.  For k = 7, 8, 9 it checks the
+    Gorin-Lin table past the two strand counts the census first took."""
     classes = commutator_census(k, n)
     hit = set()
     for rec in census_cache(k, n):
@@ -94,19 +104,21 @@ def test_each_braid_class_restricts_to_one_commutator_class(census_cache, k, n):
 
 def _staged_scan(k, n):
     """Reference census, independent of the braid-group census: c1 at one
-    representative per cycle type, c2 (and c3) over all of S(n), u over
-    all of S(n) with v and w forced, one map kept per conjugacy class."""
+    representative per cycle type, c2..c_{k-3} over all of S(n), each
+    braiding with the one before and commuting with the others, u over all
+    of S(n) with v and w forced, one map kept per conjugacy class."""
     sym = oracles.all_permutations(n)
     homs = []
     for c1 in oracles.conjugacy_class_representatives(n):
         same_type = [x for x in sym if x.cycle_type() == c1.cycle_type()]
-        chains = [(c1, x) for x in same_type if c1 * x * c1 == x * c1 * x]
-        if k == 6:
+        chains = [(c1,)]
+        for _ in range(k - 4):
             chains = [
-                (c1, c2, x)
-                for c1, c2 in chains
+                chain + (x,)
+                for chain in chains
                 for x in same_type
-                if x * c1 == c1 * x and c2 * x * c2 == x * c2 * x
+                if chain[-1] * x * chain[-1] == x * chain[-1] * x
+                and all(x * c == c * x for c in chain[:-1])
             ]
         for chain in chains:
             c2 = chain[1]
@@ -122,7 +134,9 @@ def _staged_scan(k, n):
     return [cls[0] for cls in oracles.conjugacy_classes(homs)]
 
 
-@pytest.mark.parametrize("k,n", [(5, 4), (5, 5), (6, 5), (5, 6), (6, 6)])
+@pytest.mark.parametrize(
+    "k,n", [(5, 4), (5, 5), (6, 5), (5, 6), (6, 6), (7, 4), (7, 5), (7, 6), (8, 5)]
+)
 def test_census_agrees_with_the_staged_scan(k, n):
     oracles.class_match(commutator_census(k, n), _staged_scan(k, n))
 
@@ -155,6 +169,21 @@ def test_an_invalid_u_image_from_the_search_is_an_error(monkeypatch):
 
     monkeypatch.setattr(module, "relator_solutions", with_a_stray_u)
     with pytest.raises(RuntimeError, match="invalid u-image"):
+        commutator_census(5, 5)
+
+
+def test_an_orbit_representative_that_is_no_u_image_is_an_error(monkeypatch):
+    """C(chain) maps the u-images of a chain onto themselves, so the least
+    member of each orbit is a u-image; a split that returns anything else
+    stops the census."""
+    module = sys.modules["braidcensus.commutator"]
+
+    def with_a_stray_orbit(us, gens):
+        stray = next(u for u in oracles.all_permutations(us[0].degree) if u not in us)
+        return [(stray, 1)]
+
+    monkeypatch.setattr(module, "conjugation_orbits", with_a_stray_orbit)
+    with pytest.raises(RuntimeError, match="orbit leaves the u-images"):
         commutator_census(5, 5)
 
 

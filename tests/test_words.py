@@ -52,7 +52,7 @@ def test_reduction_oracle_decides_the_braid_relations():
 
 def test_braid_relations_list_each_artin_relation_once():
     for k in range(2, 9):
-        rels = braid_relations(k)
+        rels = list(braid_relations(k))
         far = [(lhs, rhs) for lhs, rhs in rels if len(lhs) == 2]
         # The far commutations come first, written s_q s_p = s_p s_q.
         assert rels[: len(far)] == far
