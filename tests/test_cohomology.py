@@ -1,7 +1,9 @@
 """Unit tests for twisted one-cocycles and the integer linear algebra."""
 
 import itertools
+import json
 import math
+import pathlib
 import random
 import time
 
@@ -17,6 +19,7 @@ from braidcensus.cohomology import (
     cocycle_matrix,
     h1_invariants,
     hom_from_cocycle,
+    invariant_factors,
     smith_normal_form,
     split_hom,
     standard_base_cocycle,
@@ -31,6 +34,14 @@ from braidcensus.homs import (
 )
 from braidcensus.perm import Permutation
 
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def _cyclic_base(n):
+    """The cyclic base of the command line: an n-cycle on max(n + 1, 5)
+    strands."""
+    return cyclic_hom(max(n + 1, 5), Permutation.from_cycles([tuple(range(1, n + 1))], n))
+
 
 def test_coordinate_action():
     s = Permutation.from_cycles("(1,2,3)", 3)
@@ -44,9 +55,14 @@ def _diag(A):
 
 def _smith_form_with_transforms(M):
     """Return (D, U, V) with D = U*M*V diagonal, U and V unimodular: the
-    transform-tracking Smith form, with the pivot rule of
-    ``smith_normal_form``; the reference for its diagonal and the
-    elimination behind ``_kernel_lattice`` and ``_solve_all``."""
+    transform-tracking Smith form, eliminating densely.  The pivot is the
+    first entry of least absolute value in the remaining submatrix, row by
+    row, and a clean pivot that does not divide some later entry takes in
+    that entry's row and is chosen again, so the diagonal comes out in
+    divisibility order without ``invariant_factors``.  The reference for
+    the diagonal of the sparse ``smith_normal_form`` and for
+    ``invariant_factors``, and the elimination behind ``_kernel_lattice``
+    and ``_solve_all``."""
     rows = len(M)
     cols = len(M[0]) if rows else 0
     A = [list(row) for row in M]
@@ -399,9 +415,7 @@ def _h1_by_lattice_quotient(omega, r):
 def _named_bases(max_points):
     for n in range(2, max_points + 1):
         yield standard_hom(n)
-        yield cyclic_hom(
-            max(n + 1, 5), Permutation.from_cycles([tuple(range(1, n + 1))], n)
-        )
+        yield _cyclic_base(n)
     yield five_strand_six_points()
     yield exceptional_hom_six()
     yield from doubled_standard_classes(3)
@@ -501,10 +515,7 @@ def _smith_normal_form_full_scan(M):
 def test_smith_diagonal_agrees_with_the_full_scan():
     bases = [standard_hom(n) for n in range(3, 11)]
     bases += [five_strand_six_points(), exceptional_hom_six()]
-    bases += [
-        cyclic_hom(max(n + 1, 5), Permutation.from_cycles([tuple(range(1, n + 1))], n))
-        for n in range(2, 7)
-    ]
+    bases += [_cyclic_base(n) for n in range(2, 7)]
     bases += doubled_standard_classes(3)
     matrices = [f(base) for base in bases for f in (cocycle_matrix, coboundary_matrix)]
     # No unit entry, so the pivot search falls back to the least |a|.
@@ -545,3 +556,72 @@ def test_smith_diagonal_matches_the_transform_reference(M):
     assert _mat_mul(_mat_mul(U, M), V) == [
         [D[i][i] if i == j else 0 for j in range(cols)] for i in range(rows)
     ]
+
+
+@pytest.mark.parametrize(
+    "M,diagonal",
+    [([], []), ([[]], []), ([[0, 0], [0, 0]], [0, 0]), ([[-4]], [4])],
+)
+def test_smith_diagonal_of_edge_shapes(M, diagonal):
+    assert smith_normal_form(M) == diagonal
+
+
+_ORDERS = st.one_of(
+    st.just(0),
+    st.just(1),
+    st.builds(
+        lambda a, b, c: 2**a * 3**b * 5**c,
+        st.integers(0, 3),
+        st.integers(0, 2),
+        st.integers(0, 1),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ORDERS, max_size=6))
+def test_merged_orders_are_the_smith_diagonal_of_the_diagonal_matrix(orders):
+    """Merging by gcd and lcm gives the invariant factors that the dense
+    reference reads off the diagonal matrix, once its 1s are put back."""
+    n = len(orders)
+    D, _, _ = _smith_form_with_transforms(
+        [[x if i == j else 0 for j in range(n)] for i, x in enumerate(orders)]
+    )
+    merged = invariant_factors(orders)
+    assert [1] * (n - len(merged)) + merged == _diag(D)
+
+
+def test_large_cocycle_matrices_reduce_in_time():
+    """Each row of a cocycle matrix has at most six nonzero entries, so the
+    sparse elimination stays fast where a dense one took seconds.  H^1 over
+    Z is Z^2 on a standard base and Z on a cyclic one (as pinned to 16
+    points in ``h1_large_bases.json``), and B has rank t - 1 on t points,
+    which fixes the rank of M."""
+    cases = [
+        (cocycle_matrix(standard_hom(20)), 359),
+        (cocycle_matrix(_cyclic_base(22)), 462),
+    ]
+    start = time.monotonic()
+    diagonals = [smith_normal_form(M) for M, _ in cases]
+    elapsed = time.monotonic() - start
+    for (M, rank), diagonal in zip(cases, diagonals):
+        assert diagonal == [1] * rank + [0] * (len(M[0]) - rank)
+    assert elapsed < 0.75
+
+
+def test_h1_of_large_bases_matches_the_golden_file():
+    """H^1 beyond the lattice-quotient oracle's reach, recorded with the
+    dense elimination: per base, the invariant factors at each modulus,
+    and the Smith diagonals of M and B as their rank and their factors
+    other than 1."""
+    golden = json.loads((GOLDEN / "h1_large_bases.json").read_text())
+    start = time.monotonic()
+    for entry in golden["bases"]:
+        n = entry["points"]
+        base = standard_hom(n) if entry["base"] == "standard" else _cyclic_base(n)
+        assert base.k == entry["strands"]
+        h1 = [h1_invariants(base, r) for r in golden["moduli"]]
+        pair = cohomology._smith_pair(base)
+        smith = [[len(x), [v for v in x if v != 1]] for x in pair]
+        assert [h1, smith] == [entry["h1"], entry["smith"]]
+    assert time.monotonic() - start < 1.0
