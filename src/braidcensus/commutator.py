@@ -1,19 +1,20 @@
 """Homomorphisms of the commutator subgroup of the braid group.
 
 For k >= 5 the commutator subgroup of the k-strand braid group is
-finitely presented on generators u, v, w and c_1 .. c_{k-3}; its defining
-relations are checked on construction.  The census enumerates all
-homomorphisms into S(n) up to conjugacy by staging: the c-images satisfy
-the braid relations of k-2 strands among themselves, so they are the leaf
-chains of the braid-group census tree, one per class; two of the
+finitely presented on generators u, v, w and c_1 .. c_{k-3}: the 2k - 4
+relations of ``_relations`` involve u, v or w, and the c_i satisfy the
+braid relations of k-2 strands, ``words.braid_relations(k - 2)``.  Both
+are checked on construction.  The census enumerates all homomorphisms
+into S(n) up to conjugacy by staging: the chains c_1..c_{k-3} are the
+leaf chains of the braid-group census tree, one per class; two of the
 relations force v = c_2^-1 u c_2 and w = u c_1 u^-1, which turns the
 others into relators in u and the chain, and ``perm.relator_solutions``
 finds every u-image that satisfies them; the words are built once per
 chain length, with the chain as the images of their letters, so that
-equal chain images cancel as one letter.  The
-u-images of a chain are split into orbits under the chain's centralizer,
-which the leaf carries.  The group is perfect for k >= 5, so every image
-lies in A_n and only the chains with an even c_1 are walked.
+equal chain images cancel as one letter.  The u-images of a chain are
+split into orbits under the chain's centralizer, which the leaf carries.
+The group is perfect for k >= 5, so every image lies in A_n and only the
+chains with an even c_1 are walked.
 """
 
 from __future__ import annotations
@@ -118,11 +119,11 @@ class CommutatorHom(Record):
 
 @functools.cache
 def _relations(k):
-    """The defining relations of the commutator subgroup on k strands
-    (Gorin and Lin, Mat. Sb. 1969) as a tuple of (name, lhs, rhs), built
-    once per k.  The words are signed letters in the order of
+    """The Gorin-Lin relations of the commutator subgroup on k strands
+    (Mat. Sb. 1969) that involve u, v or w: 2k - 4 triples (name, lhs,
+    rhs), built once per k.  Letters in the order of
     ``CommutatorHom.images``: 1, 2, 3 for u, v, w and 3 + i for c_i.  The
-    chain c_1..c_{k-3} satisfies the braid relations of k-2 strands."""
+    rest say that c_1..c_{k-3} satisfy ``words.braid_relations(k - 2)``."""
     rels = [
         ("u c1 u^-1 = w", (1, 4, -1), (3,)),
         ("u w u^-1 = w^2 c1^-1 w", (1, 3, -1), (3, 3, -4, 3)),
@@ -136,23 +137,19 @@ def _relations(k):
     for i in range(2, k - 2):
         rels.append(("u c%d = c%d v" % (i, i), (1, 3 + i), (3 + i, 2)))
         rels.append(("v c%d = c%d u^-1 v" % (i, i), (2, 3 + i), (3 + i, -1, 2)))
-    for lhs, rhs in braid_relations(k - 2):
-        if len(lhs) == 2:
-            # Named c_p c_q = c_q c_p for p < q, so the sides swap.
-            lhs, rhs = rhs, lhs
-            name = "c%d c%d = c%d c%d" % (lhs + rhs)
-        else:
-            name = "chain braiding at %d" % lhs[0]
-        rels.append((name, tuple(3 + g for g in lhs), tuple(3 + g for g in rhs)))
     return tuple(rels)
 
 
 def _relations_report(k, u, v, w, c):
-    """Check the defining relations; returns (ok, first failing name)."""
+    """Check ``_relations``, then the chain's braid relations as
+    ``words.braid_relations`` yields them; returns (ok, first failing name)."""
     images = (u, v, w) + tuple(c)
     for name, lhs, rhs in _relations(k):
         if perm_image(lhs, images) != perm_image(rhs, images):
             return False, name
+    for lhs, rhs in braid_relations(k - 2):
+        if perm_image(lhs, c) != perm_image(rhs, c):
+            return False, "chain relation %s = %s" % (lhs, rhs)
     return True, ""
 
 
@@ -207,11 +204,11 @@ def _vw_words(m):
 
 @functools.cache
 def _u_relator_words(m):
-    """The relations of ``_relations`` that involve u, v or w, with v and w
-    of ``_vw_words`` substituted, as relator words for a chain of m images:
-    letter i stands for c_i and m + 1 for u, the format of
-    ``perm.relator_solutions`` with the chain as its images.  Built once per
-    m; a relation that the substitution makes hold outright is empty."""
+    """``_relations`` with v and w of ``_vw_words`` substituted, as relator
+    words for a chain of m images: letter i stands for c_i and m + 1 for u,
+    the format of ``perm.relator_solutions`` with the chain as its images.
+    Built once per m; a relation that the substitution makes hold outright
+    is empty."""
     letters = [(m + 1,), *_vw_words(m)] + [(i,) for i in range(1, m + 1)]
     sub = {}
     for g, word in enumerate(letters, 1):
@@ -219,14 +216,13 @@ def _u_relator_words(m):
     return tuple(
         tuple(x for g in lhs + inverse(rhs) for x in sub[g])
         for _, lhs, rhs in _relations(m + 3)
-        if any(abs(g) <= 3 for g in lhs + rhs)
     )
 
 
 def commutator_census(k, n):
     """All homomorphisms of the commutator subgroup into S(n), one per
     conjugacy class, for 5 <= k <= ``census.MAX_STRANDS`` and
-    n <= ``census.MAX_POINTS``, sorted by (c_1, ..., c_{k-3}, u).
+    1 <= n <= ``census.MAX_POINTS``, sorted by (c_1, ..., c_{k-3}, u).
 
     The chains c_1..c_{k-3} are the leaves of ``census.chain_leaves`` for
     k-2 strands; the u-relator words are built once and put on each chain.
@@ -240,6 +236,8 @@ def commutator_census(k, n):
     """
     if not 5 <= k <= MAX_STRANDS:
         raise ValueError("k must be in 5..%d" % MAX_STRANDS)
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n > MAX_POINTS:
         raise ValueError("n must be <= %d" % MAX_POINTS)
     found = []

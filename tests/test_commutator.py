@@ -1,6 +1,7 @@
 """Unit tests for homomorphisms of the commutator subgroup."""
 
 import sys
+import tracemalloc
 
 import pytest
 
@@ -8,6 +9,7 @@ import oracles
 from braidcensus.census import MAX_POINTS, MAX_STRANDS, census, chain_leaves
 from braidcensus.commutator import (
     CommutatorHom,
+    _relations,
     _relations_report,
     _u_relator_words,
     commutator_census,
@@ -50,6 +52,29 @@ def test_invalid_images_are_rejected():
         CommutatorHom(5, 5, std.v, std.u, std.w, std.c)
 
 
+def test_a_chain_that_does_not_braid_is_rejected():
+    """Only the chain's braid relation c1 c2 c1 = c2 c1 c2 fails here; the
+    check reads it from ``words.braid_relations`` and names it by its words."""
+    e = Permutation.identity(3)
+    with pytest.raises(ValueError, match=r"chain relation \(1, 2, 1\) = \(2, 1, 2\)"):
+        CommutatorHom(5, 3, e, e, e, (e, Permutation.from_cycles("(2,3)", 3)))
+
+
+def test_the_relation_tables_stay_small_at_many_strands():
+    """Only the 2k - 4 relations that involve u, v or w are stored; the
+    chain's (k - 3)(k - 4)/2 braid relations are read one at a time, so a
+    census at 150 strands allocates well under 1 MiB at its peak."""
+    _relations.cache_clear()
+    _u_relator_words.cache_clear()
+    tracemalloc.start()
+    try:
+        commutator_census(150, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_tameness_distinguishes_the_six_strand_classes():
     assert standard_commutator_hom(6).is_tame()
     exc = exceptional_commutator_hom_six()
@@ -73,6 +98,9 @@ def test_census_rejects_unsupported_strand_counts():
             commutator_census(k, 3)
     with pytest.raises(ValueError, match="n must be <= %d" % MAX_POINTS):
         commutator_census(5, MAX_POINTS + 1)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            commutator_census(5, n)
 
 
 def test_no_nontrivial_maps_into_fewer_points():
