@@ -53,11 +53,13 @@ from .words import alpha_word, braid_relations, inverse, perm_image
 
 
 # The most strands ``census`` takes.  Each class is rebuilt by
-# ``from_sigma1_alpha`` and checked against all (k - 1)(k - 2)/2 Artin
-# relations, one at a time, so time grows about as k^2: census(1000, 3)
-# takes 7.7 s and census(2000, 3) 42 s, both in 16 MB of peak RSS (2-CPU
-# host, Python 3.11.7), and at 10^8 strands the first word of k - 1 letters
-# exhausts memory.
+# ``from_sigma1_alpha``: a non-cyclic one is checked against all
+# (k - 1)(k - 2)/2 Artin relations, one at a time, and a cyclic one at once.
+# On fewer points than strands, k >= 5, every class is cyclic (Artin), so
+# the time grows about as k: census(1000, 3) takes 0.02-0.04 s and
+# census(2000, 3) 0.03-0.06 s, both in 16 MB of peak RSS (2-CPU host,
+# Python 3.11.7; 10 s and 42 s when cyclic classes walked their relations),
+# and at 10^8 strands the first word of k - 1 letters exhausts memory.
 MAX_STRANDS = 1000
 
 # The most points ``census`` and ``commutator_census`` take.  The time grows

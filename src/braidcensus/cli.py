@@ -94,9 +94,14 @@ _SIX_POINT_BASES = {
 }
 
 
+@functools.cache
 def _base_hom(name, n):
-    """The named base on n points; a base too large for its cocycle matrix
-    is refused before it is built, as building it takes O(n^2) relations."""
+    """The named base on n points, built and checked against its Artin
+    relations on the first call and shared by every later one, so each
+    further modulus of a base reaches ``cohomology._smith_pair`` with the
+    same immutable ``BraidHom``.  A base too large for its cocycle matrix,
+    or a six-point base on other than 6 points, raises ``ValueError``
+    before it is built; refusals are not cached."""
     if name in _SIX_POINT_BASES:
         if n != 6:
             raise ValueError("this base acts on 6 points")
@@ -230,16 +235,16 @@ def _suite_small_census():
 def _suite_cohomology():
     out = {}
     out["standard five strands r=2"] = cohomology.h1_invariants(
-        homs.standard_hom(5), 2
+        _base_hom("standard", 5), 2
     ) == [2, 2]
     out["standard five strands r=0"] = cohomology.h1_invariants(
-        homs.standard_hom(5), 0
+        _base_hom("standard", 5), 0
     ) == [0, 0]
     out["exceptional six r=2"] = cohomology.h1_invariants(
-        homs.exceptional_hom_six(), 2
+        _base_hom("exceptional6", 6), 2
     ) == [2]
     out["five into six r=4"] = cohomology.h1_invariants(
-        homs.five_strand_six_points(), 4
+        _base_hom("fivesix", 6), 4
     ) == [2, 4]
     return out
 
@@ -250,10 +255,10 @@ def _suite_models():
         catalog = homs.three_strand_catalog()
         out["three strand catalog"] = len(catalog) == 17
         out["five into six retraction"] = retraction.label_tables_clean(
-            homs.five_strand_six_points(), 2
+            _base_hom("fivesix", 6), 2
         )
         out["exceptional six retraction"] = retraction.label_tables_clean(
-            homs.exceptional_hom_six(), 2
+            _base_hom("exceptional6", 6), 2
         )
     except (ValueError, RuntimeError):
         return {"models": False}

@@ -29,8 +29,12 @@ class BraidHom(Record):
             raise ValueError("generator images violate the braid relations")
 
     def satisfies_relations(self):
-        """Whether both sides of each ``words.braid_relations`` pair agree."""
-        return all(self(lhs) == self(rhs) for lhs, rhs in braid_relations(self.k))
+        """Whether both sides of each ``words.braid_relations`` pair agree.
+        Each pair is two positive words of one length, so a cyclic map, all
+        of whose images are equal, sends both sides to one power."""
+        return self.is_cyclic() or all(
+            self(lhs) == self(rhs) for lhs, rhs in braid_relations(self.k)
+        )
 
     def __call__(self, w):
         return perm_image(w, self.sigma)

@@ -192,6 +192,17 @@ def test_census_rejects_more_strands_than_it_can_hold():
             census(k, 3)
 
 
+def test_a_census_at_the_strand_bound_finishes_in_a_second():
+    """On fewer points than strands, k >= 5, every class is cyclic, and a
+    cyclic map is accepted without the walk of its (k - 1)(k - 2)/2 Artin
+    relations."""
+    start = time.perf_counter()
+    records = census(MAX_STRANDS, 3)
+    assert time.perf_counter() - start < 1.0
+    assert len(records) == 3
+    assert all(r.hom.is_cyclic() for r in records)
+
+
 def test_census_rejects_more_points_than_can_finish():
     for n in (MAX_POINTS + 1, 80):
         with pytest.raises(ValueError, match="n must be <= %d" % MAX_POINTS):

@@ -202,6 +202,69 @@ def test_one_parser_serves_consecutive_commands(capsys):
     assert (info.misses, info.hits) == (1, 3)
 
 
+MODULI = ("0", "2", "3", "4", "5", "6", "8", "12")
+
+
+@pytest.fixture
+def fresh_bases():
+    """An empty base memo before and after the test, so no base built under
+    a monkeypatched base function outlives it."""
+    cli._base_hom.cache_clear()
+    yield
+    cli._base_hom.cache_clear()
+
+
+def test_a_named_base_is_built_once_for_every_modulus(fresh_bases, monkeypatch):
+    """The eight moduli of one base build and check it once; the later ones
+    get the same ``BraidHom`` from the memo."""
+    builds = []
+
+    def counted(k, n=None):
+        builds.append(k)
+        return standard_hom(k, n)
+
+    monkeypatch.setattr(cli.homs, "standard_hom", counted)
+    for r in MODULI:
+        rc, _ = _run(["cohomology", "standard", "6", r])
+        assert rc == 0
+    assert builds == [6]
+    info = cli._base_hom.cache_info()
+    assert (info.misses, info.hits) == (1, 7)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "exceptional6", "5", "2"],
+        ["cohomology", "standard", "60", "2"],
+    ],
+    ids=["six-point-base-on-5-points", "standard-base-too-large"],
+)
+def test_a_refused_base_is_refused_again(argv, fresh_bases, capsys):
+    """A refusal is not remembered as a base: the same bad input exits 2
+    with one line on every call."""
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+    assert cli._base_hom.cache_info().currsize == 0
+
+
+def test_a_remembered_base_prints_what_a_fresh_process_prints(fresh_bases):
+    """After other moduli of the same base in this process, each command
+    prints the bytes that it prints as the first command of a new one."""
+    cases = (("standard", "6", "4"), ("exceptional6", "6", "8"), ("cyclic", "4", "12"))
+    for base, n, r in cases:
+        for other in MODULI[:3]:
+            assert _run(["cohomology", base, n, other])[0] == 0
+        rc, out = _run(["cohomology", base, n, r])
+        assert rc == 0
+        assert out == _fresh_interpreter("-m", "braidcensus", "cohomology", base, n, r)
+
+
 def _three_strand_file(tmp_path, **changes):
     path = tmp_path / "three.json"
     path.write_text(json.dumps(dict(standard_hom(3).to_json(), **changes)))

@@ -1,6 +1,7 @@
 """Unit tests for homomorphisms of the commutator subgroup."""
 
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -58,6 +59,24 @@ def test_a_chain_that_does_not_braid_is_rejected():
     e = Permutation.identity(3)
     with pytest.raises(ValueError, match=r"chain relation \(1, 2, 1\) = \(2, 1, 2\)"):
         CommutatorHom(5, 3, e, e, e, (e, Permutation.from_cycles("(2,3)", 3)))
+
+
+def test_a_constant_chain_still_has_its_u_relations_checked():
+    """A constant chain skips only the chain's braid relations: here
+    c1 = c2 = e braid, but u = (1,2) breaks a relation of u, v and w."""
+    e, t = Permutation.identity(3), Permutation.from_cycles("(1,2)", 3)
+    with pytest.raises(ValueError, match="violate the defining relations"):
+        CommutatorHom(5, 3, t, e, e, (e, e))
+
+
+def test_a_commutator_census_at_the_strand_bound_finishes_in_a_second():
+    """Its one class has a constant chain, which braids without the walk of
+    the chain's (k - 3)(k - 4)/2 braid relations."""
+    start = time.perf_counter()
+    records = commutator_census(MAX_STRANDS, 3)
+    assert time.perf_counter() - start < 1.0
+    assert len(records) == 1
+    assert all(ci == records[0].c[0] for ci in records[0].c)
 
 
 def test_the_relation_tables_stay_small_at_many_strands():

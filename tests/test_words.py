@@ -66,6 +66,16 @@ def test_braid_relations_list_each_artin_relation_once():
         assert all(words_equal(lhs, rhs) for lhs, rhs in rels)
 
 
+def test_each_braid_relation_has_two_positive_sides_of_one_length():
+    """The premise of the cyclic shortcut of ``BraidHom.satisfies_relations``
+    and of the constant-chain one of ``commutator._relations_report``: equal
+    images send both sides of every relation to one power."""
+    for k in range(2, 13):
+        for lhs, rhs in braid_relations(k):
+            assert len(lhs) == len(rhs)
+            assert all(0 < g < k for g in lhs + rhs)
+
+
 def test_reduction_oracle_agrees_with_the_symmetric_projection():
     rng = random.Random(17)
     k = 5
