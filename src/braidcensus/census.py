@@ -29,8 +29,19 @@ so it times |C(G)| must be |C(s)|.  The census records each class by the
 least conjugate under C(s) of its full-cycle image a = s_1 ... s_{k-1},
 found by ``perm.least_conjugate`` from the point table of C(G) without
 walking the orbit of a; the commutator-subgroup census reads the same
-leaves.  census(8,13) takes 1.3 to 1.4 s in 16.6 MB and census(7,14) 3.2 to
-4.2 s in 17.6 MB peak RSS, in process (2-CPU host, Python 3.11.7).
+leaves.
+
+A node's partners and their orbits do not depend on k, so a process keeps
+the tree of the last point count: for each expanded chain, the least member
+and size of each partner orbit, and C(s) for each first image s.  A later
+census or commutator census at the same n reads every node an earlier one
+expanded instead of searching again; a census at another n drops the old
+tree.  Only several censuses at one n in one process gain, such as the
+four of ``census K 8`` for K = 4, 6, 7, 8, or the two chain walks of
+``census-bprime K 6`` for K = 5, 6; a single census has nothing to share.
+A single run pays the memory of its tree: census(8,14) takes 2.8 to 3.4 s
+in 20.1 MB and census(8,16) 18.7 to 19.6 s in 32.4 MB peak RSS, in process
+(2-CPU host, Python 3.11.7; 17.7 MB and 23.9 MB when no node was kept).
 """
 
 from __future__ import annotations
@@ -115,18 +126,35 @@ def braid_partners(chain, symmetry=None):
     return relator_solutions(chain[0].degree, relators, chain, symmetry=symmetry)
 
 
+# The tree of the last point count n, as {n: {chain: orbits}}: a chain of
+# two or more images maps to a tuple of its partners' sorted (least member,
+# C(chain)-orbit size) pairs, and a first image (s,) to (C(s), the orbits of
+# its partners).  Tuples, and no centralizer below the root, keep
+# census(8,16)'s tree to 8.5 MB of peak RSS.
+_TREES = {}
+
+
 def chain_leaves(k, n, parts):
     """The classes of maps from the k-strand braid group into S(n) whose
     first image is the class-minimal one of the given cycle type, as
     (chain, weight, C(chain)) leaves of the chain tree."""
+    if n not in _TREES:
+        # One point count at a time: a census at another n drops the tree.
+        _TREES.clear()
+        _TREES[n] = {}
+    tree = _TREES[n]
     s1 = canonical_of_cycle_type(parts, n)
-    root = tuple_centralizer((s1,))
+    top = tree.get((s1,))
+    if top is None:
+        root = tuple_centralizer((s1,))
+        partners = braid_partners((s1,), symmetry=root)
+        top = root, conjugation_orbits(partners, centralizer_generators(root))
+        tree[s1,] = top
+    root, orbits = top
     # Depth first over the chain prefixes, one per orbit of the centralizer
     # of the prefix: (prefix, weight, its centralizer or None until needed).
     stack = []
-    for s2, size in conjugation_orbits(
-        braid_partners((s1,), symmetry=root), centralizer_generators(root)
-    ):
+    for s2, size in orbits:
         if s2 == s1:
             # s3 braids with s2 = s1 and commutes with s1, so s3 = s1, and
             # so on down the chain: the constant chain is the only one.
@@ -135,27 +163,31 @@ def chain_leaves(k, n, parts):
             stack.append(((s1, s2), size, root if size == 1 else None))
     while stack:
         chain, weight, cent = stack.pop()
-        if len(chain) < k - 1:
-            pool = braid_partners(chain)
-            if len(pool) < 2:
-                stack.extend((chain + (x,), weight, cent) for x in pool)
-                continue
+        if len(chain) == k - 1:
             if cent is None:
                 cent = tuple_centralizer(chain)
-            orbits = conjugation_orbits(pool, centralizer_generators(cent))
-            if sum(size for _, size in orbits) != len(pool):
-                raise RuntimeError("centralizer orbits do not count the partners")
-            # A partner fixed by the centralizer leaves it unchanged.
-            stack.extend(
-                (chain + (x,), weight * size, cent if size == 1 else None)
-                for x, size in orbits
-            )
+            if weight * cent.order != root.order:
+                raise RuntimeError("class weight and centralizer order disagree")
+            yield chain, weight, cent
             continue
-        if cent is None:
-            cent = tuple_centralizer(chain)
-        if weight * cent.order != root.order:
-            raise RuntimeError("class weight and centralizer order disagree")
-        yield chain, weight, cent
+        orbits = tree.get(chain)
+        if orbits is None:
+            pool = braid_partners(chain)
+            if len(pool) < 2:
+                orbits = tuple((x, 1) for x in pool)
+            else:
+                if cent is None:
+                    cent = tuple_centralizer(chain)
+                orbits = tuple(conjugation_orbits(pool, centralizer_generators(cent)))
+                if sum(size for _, size in orbits) != len(pool):
+                    raise RuntimeError("centralizer orbits do not count the partners")
+            # Stored only once checked, so no later census reads a bad node.
+            tree[chain] = orbits
+        # A partner fixed by the centralizer leaves it unchanged.
+        stack.extend(
+            (chain + (x,), weight * size, cent if size == 1 else None)
+            for x, size in orbits
+        )
 
 
 def _census_one_class(args):

@@ -18,6 +18,7 @@ from braidcensus.census import (
     chain_leaves,
     select,
 )
+from braidcensus.commutator import commutator_census
 from braidcensus.homs import BraidHom, from_sigma1_alpha, six_strand_ten_points
 from braidcensus.perm import (
     Permutation,
@@ -265,22 +266,36 @@ def test_partner_relators_are_the_artin_relations_of_the_next_generator():
         assert set(relators) == by_hand
 
 
-def test_a_lost_chain_breaks_the_orbit_count(monkeypatch):
+@pytest.fixture
+def fresh_tree():
+    """An empty chain-tree memo before and after the test: no node expanded
+    before it hides the search from the test, and no node expanded under a
+    monkeypatched search outlives it."""
+    CENSUS_MODULE._TREES.clear()
+    yield CENSUS_MODULE._TREES
+    CENSUS_MODULE._TREES.clear()
+
+
+def test_a_lost_chain_breaks_the_orbit_count(fresh_tree, monkeypatch):
     """Past sigma_2 the centralizer of the prefix maps the partners onto
     themselves, so a partner search that drops a partner leaves the
-    centralizer orbits covering more partners than were found."""
+    centralizer orbits covering more partners than were found.  The node
+    that fails the count is not remembered."""
     partners = CENSUS_MODULE.braid_partners
+    searched = []
 
     def all_but_the_last(chain, symmetry=None):
+        searched.append(chain)
         found = partners(chain, symmetry=symmetry)
         return found[:-1] if len(chain) > 1 else found
 
     monkeypatch.setattr(CENSUS_MODULE, "braid_partners", all_but_the_last)
     with pytest.raises(RuntimeError, match="centralizer orbits do not count"):
         census(4, 6)
+    assert searched[-1] not in fresh_tree[6]
 
 
-def test_a_wrong_centralizer_order_breaks_the_class_weight(monkeypatch):
+def test_a_wrong_centralizer_order_breaks_the_class_weight(fresh_tree, monkeypatch):
     """A leaf's weight counts the maps of its class by orbit walks; the
     centralizer order counts them again by constituents, and must agree."""
     exact = CENSUS_MODULE.tuple_centralizer
@@ -300,6 +315,59 @@ def test_a_wrong_centralizer_order_breaks_the_class_weight(monkeypatch):
     monkeypatch.setattr(CENSUS_MODULE, "tuple_centralizer", doubled)
     with pytest.raises(RuntimeError, match="weight and centralizer order"):
         census(3, 4)
+
+
+def test_censuses_at_one_point_count_share_the_chain_tree(fresh_tree, monkeypatch):
+    """A node's partners do not depend on k, so after census(8, 8) has
+    expanded every chain of up to six images, census(4, 8) and
+    census(6, 8) search for no partners at all."""
+    partners = CENSUS_MODULE.braid_partners
+    searched = []
+
+    def spy(chain, symmetry=None):
+        searched.append(chain)
+        return partners(chain, symmetry=symmetry)
+
+    monkeypatch.setattr(CENSUS_MODULE, "braid_partners", spy)
+    census(8, 8)
+    assert searched
+    searched.clear()
+    census(4, 8)
+    census(6, 8)
+    assert searched == []
+
+
+@pytest.mark.parametrize("ks", [(4, 6, 7, 8), (8, 7, 6, 4)])
+def test_a_shared_tree_gives_the_records_of_an_empty_one(fresh_tree, ks):
+    """census(k, 8) after censuses of other k at 8 points, in either order,
+    equals census(k, 8) run on an empty memo, and so does a run with two
+    workers started from the shared tree."""
+    shared = {k: census(k, 8) for k in ks}
+    assert census(ks[0], 8, workers=2) == shared[ks[0]]
+    for k in ks:
+        fresh_tree.clear()
+        assert shared[k] == census(k, 8)
+
+
+def test_a_commutator_census_after_a_census_gives_the_records_of_an_empty_tree(
+    fresh_tree,
+):
+    """The commutator census walks the same tree for k - 2 strands, so
+    after census(4, 6) it reads nodes that census expanded."""
+    census(4, 6)
+    shared = commutator_census(6, 6)
+    fresh_tree.clear()
+    assert shared == commutator_census(6, 6)
+
+
+def test_a_census_at_another_point_count_drops_the_old_tree(fresh_tree):
+    """The memo holds one point count's tree: after census(4, 8) and then
+    census(3, 9), no chain on 8 points is kept."""
+    census(4, 8)
+    census(3, 9)
+    assert list(fresh_tree) == [9]
+    assert fresh_tree[9]
+    assert all(chain[0].degree == 9 for chain in fresh_tree[9])
 
 
 def test_a_representative_that_does_not_rebuild_is_an_error(monkeypatch):
