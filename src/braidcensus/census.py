@@ -24,24 +24,32 @@ every deeper pool of partners, are split by the generators that
 pool needs splitting.  Past s_2 = s nothing is searched: an s_3 that braids
 with s and commutes with it is s (s s_3 s = s_3 s s_3 and s s_3 = s_3 s
 give s = s_3), and so on, so the constant chain (s, ..., s) is the only
-chain through it.  At a leaf the weight is the number of maps in the class,
-so it times |C(G)| must be |C(s)|.  The census records each class by the
-least conjugate under C(s) of its full-cycle image a = s_1 ... s_{k-1},
-found by ``perm.least_conjugate`` from the point table of C(G) without
-walking the orbit of a; the commutator-subgroup census reads the same
-leaves.
+chain through it.  Every image of a map is conjugate to s, and s_{i+2}
+commutes with s_1, ..., s_i, so a chain of i images has a grandchild only
+if C(G_i) holds an element of s's cycle type.  A chain of at most k - 3
+images whose centralizer fails ``perm.holds_cycle_type`` is barren: its
+partners are not searched.  At a leaf the weight is the number of maps in
+the class, so it times |C(G)| must be |C(s)|.  The census records each
+class by the least conjugate under C(s) of its full-cycle image
+a = s_1 ... s_{k-1}, found by ``perm.least_conjugate`` from the point table
+of C(G) without walking the orbit of a; the commutator-subgroup census
+reads the same leaves.
 
-A node's partners and their orbits do not depend on k, so a process keeps
-the tree of the last point count: for each expanded chain, the least member
-and size of each partner orbit, and C(s) for each first image s.  A later
-census or commutator census at the same n reads every node an earlier one
-expanded instead of searching again; a census at another n drops the old
+A node's partners and their orbits do not depend on k, and neither does
+whether it is barren, so a process keeps the tree of the last point count:
+for each expanded chain, the least member and size of each partner orbit,
+for each tested chain its verdict, and C(s) for each first image s.  A
+later census or commutator census at the same n reads every node an earlier
+one expanded or found barren instead of searching or testing again; a
+census with k = i + 2, whose leaves are the children of a chain of i
+images, still expands a barren one.  A census at another n drops the old
 tree.  Only several censuses at one n in one process gain, such as the
 four of ``census K 8`` for K = 4, 6, 7, 8, or the two chain walks of
 ``census-bprime K 6`` for K = 5, 6; a single census has nothing to share.
-A single run pays the memory of its tree: census(8,14) takes 2.8 to 3.4 s
-in 20.1 MB and census(8,16) 18.7 to 19.6 s in 32.4 MB peak RSS, in process
-(2-CPU host, Python 3.11.7; 17.7 MB and 23.9 MB when no node was kept).
+A single run pays the memory of its tree: census(8,14) takes 2.5 to 3.5 s
+in 19.0 MB and census(8,16) 15.2 to 21.7 s in 28.7 to 28.9 MB peak RSS, in
+process (2-CPU host, Python 3.11.7; 2.8 to 4.6 s in 20.1 MB and 17.1 to
+23.8 s in 32.3 MB when every chain was searched).
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ from .perm import (
     canonical_of_cycle_type,
     centralizer_generators,
     conjugation_orbits,
+    holds_cycle_type,
     least_conjugate,
     relator_solutions,
     tuple_centralizer,
@@ -126,11 +135,14 @@ def braid_partners(chain, symmetry=None):
     return relator_solutions(chain[0].degree, relators, chain, symmetry=symmetry)
 
 
-# The tree of the last point count n, as {n: {chain: orbits}}: a chain of
-# two or more images maps to a tuple of its partners' sorted (least member,
-# C(chain)-orbit size) pairs, and a first image (s,) to (C(s), the orbits of
-# its partners).  Tuples, and no centralizer below the root, keep
-# census(8,16)'s tree to 8.5 MB of peak RSS.
+# The tree of the last point count n, as {n: {chain: entry}}.  A first image
+# (s,) maps to (C(s), the orbits of its partners), and a chain of two or more
+# images to (fertile, orbits): fertile is None until the chain is tested and
+# then whether its centralizer holds an element of s's cycle type; orbits is
+# None until the chain is expanded and then a tuple of its partners' sorted
+# (least member, C(chain)-orbit size) pairs.  Tuples, no centralizer below
+# the root and no partners of a barren chain keep census(8,16) to 28.9 MB of
+# peak RSS.
 _TREES = {}
 
 
@@ -170,7 +182,18 @@ def chain_leaves(k, n, parts):
                 raise RuntimeError("class weight and centralizer order disagree")
             yield chain, weight, cent
             continue
-        orbits = tree.get(chain)
+        fertile, orbits = tree.get(chain, (None, None))
+        if len(chain) + 2 < k:
+            # s_{i+2} commutes with s1..s_i and is conjugate to s1, so a
+            # chain whose centralizer holds no element of s1's cycle type
+            # has no grandchild.
+            if fertile is None:
+                if cent is None:
+                    cent = tuple_centralizer(chain)
+                fertile = holds_cycle_type(cent, parts)
+            if not fertile:
+                tree[chain] = fertile, orbits
+                continue
         if orbits is None:
             pool = braid_partners(chain)
             if len(pool) < 2:
@@ -181,8 +204,8 @@ def chain_leaves(k, n, parts):
                 orbits = tuple(conjugation_orbits(pool, centralizer_generators(cent)))
                 if sum(size for _, size in orbits) != len(pool):
                     raise RuntimeError("centralizer orbits do not count the partners")
-            # Stored only once checked, so no later census reads a bad node.
-            tree[chain] = orbits
+        # Stored only once checked, so no later census reads a bad node.
+        tree[chain] = fertile, orbits
         # A partner fixed by the centralizer leaves it unchanged.
         stack.extend(
             (chain + (x,), weight * size, cent if size == 1 else None)

@@ -659,6 +659,53 @@ def centralizer_generators(centralizer):
     return gens
 
 
+def holds_cycle_type(centralizer, parts):
+    """Whether the ``tuple_centralizer`` C(G) holds an element of cycle type
+    ``parts``, a partition of n with its parts of 1, decided from its
+    classes without listing any element.
+
+    An element of C_m wr S_t permutes the t copies and picks an element of
+    C_m on each.  A cycle of l copies whose product in C_m has order o
+    gives m/o cycles of length l o (C_m is semiregular), and the product
+    may be any element of C_m.  So ``parts`` is filled one class, and in it
+    one block of copies, at a time; a class's blocks are tried in
+    non-increasing (l, o) order, each multiset of them once.
+    """
+    need = {}
+    for p in parts:
+        need[p] = need.get(p, 0) + 1
+    classes = []
+    for copies, cm in zip(centralizer.copies, centralizer.constituents):
+        orders = set()
+        for pi in cm:
+            o, i = 1, pi[0]
+            while i:
+                o, i = o + 1, pi[i]
+            orders.add(o)
+        classes.append((len(copies), len(copies[0]), sorted(orders, reverse=True)))
+
+    def fill(c, left, top):
+        """Whether blocks of at most ``top`` = (l, o) can take the ``left``
+        copies of class c, and the later classes the rest of ``need``."""
+        if not left:
+            # Every block took its cycles from ``need``, which sums to n.
+            return c + 1 == len(classes) or fill(c + 1, classes[c + 1][0], (n, n))
+        _, m, orders = classes[c]
+        for l in range(min(left, top[0]), 0, -1):
+            for o in orders:
+                if (l, o) > top or need.get(l * o, 0) < m // o:
+                    continue
+                need[l * o] -= m // o
+                found = fill(c, left - l, (l, o))
+                need[l * o] += m // o
+                if found:
+                    return True
+        return False
+
+    n = len(centralizer.copy_of)
+    return fill(0, classes[0][0], (n, n))
+
+
 def least_conjugate(a, s, centralizer):
     """The least g a g^-1 over g in C(s), where ``centralizer`` is the
     ``tuple_centralizer`` of a group G whose centralizer C(G) is the

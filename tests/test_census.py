@@ -27,6 +27,7 @@ from braidcensus.perm import (
     canonical_of_cycle_type,
     centralizer_generators,
     conjugation_orbits,
+    holds_cycle_type,
     tuple_centralizer,
 )
 
@@ -113,13 +114,18 @@ def test_every_leaf_chain_is_the_least_of_its_orbit_under_the_first_centralizer(
                 assert weight == len(orbit)
 
 
-def test_census_is_deterministic_across_worker_counts():
+def test_census_is_deterministic_across_worker_counts(fresh_tree):
     single = census(3, 5, workers=1)
     multi = census(3, 5, workers=2)
     assert [r.hom for r in single] == [r.hom for r in multi]
     assert [r.orbit_size for r in single] == [r.orbit_size for r in multi]
     again = census(3, 5, workers=1)
     assert [r.hom for r in single] == [r.hom for r in again]
+    # Each pool worker keeps its own tree and prunes its barren chains, here
+    # from an empty one.
+    fresh_tree.clear()
+    multi = census(6, 9, workers=2)
+    assert multi == census(6, 9, workers=1)
 
 
 def test_every_record_validates_and_reconstructs(census_cache):
@@ -318,9 +324,10 @@ def test_a_wrong_centralizer_order_breaks_the_class_weight(fresh_tree, monkeypat
 
 
 def test_censuses_at_one_point_count_share_the_chain_tree(fresh_tree, monkeypatch):
-    """A node's partners do not depend on k, so after census(8, 8) has
-    expanded every chain of up to six images, census(4, 8) and
-    census(6, 8) search for no partners at all."""
+    """A node's partners do not depend on k, so censuses at 8 points in any
+    order search each chain at most once, and a census repeated searches
+    nothing.  The order tests nodes that a smaller k expanded and expands
+    nodes that a larger k left barren."""
     partners = CENSUS_MODULE.braid_partners
     searched = []
 
@@ -329,15 +336,54 @@ def test_censuses_at_one_point_count_share_the_chain_tree(fresh_tree, monkeypatc
         return partners(chain, symmetry=symmetry)
 
     monkeypatch.setattr(CENSUS_MODULE, "braid_partners", spy)
-    census(8, 8)
+    done = set()
+    for k in (4, 8, 6, 7, 8, 4):
+        before = len(searched)
+        census(k, 8)
+        if k in done:
+            assert len(searched) == before, k
+        done.add(k)
     assert searched
-    searched.clear()
-    census(4, 8)
+    assert len(set(searched)) == len(searched)
+
+
+def test_no_partner_is_searched_below_a_barren_chain(fresh_tree, monkeypatch):
+    """s_{i+2} commutes with s_1..s_i and is conjugate to s_1, so census(6, 9)
+    searches no chain of up to three images whose centralizer holds no
+    element of s_1's cycle type.  That cuts more than half of the 310
+    searches a census makes that tests no chain."""
+    partners = CENSUS_MODULE.braid_partners
+    searched = []
+
+    def spy(chain, symmetry=None):
+        searched.append(chain)
+        return partners(chain, symmetry=symmetry)
+
+    monkeypatch.setattr(CENSUS_MODULE, "braid_partners", spy)
+    census(6, 9)
+    assert 0 < len(searched) < 310 / 2
+    for chain in searched:
+        if 1 < len(chain) <= 3:
+            cycles = chain[0].cycles(include_fixed=True)
+            parts = tuple(sorted(map(len, cycles), reverse=True))
+            assert holds_cycle_type(tuple_centralizer(chain), parts), chain
+    # The barren chains are kept as such, with no partners.
+    barren = [v for v in fresh_tree[9].values() if v[0] is False]
+    assert barren
+    assert all(orbits is None for _, orbits in barren)
+
+
+def test_a_census_at_another_point_count_drops_the_verdicts(fresh_tree):
+    """The verdicts live in the tree of their point count: after census(6, 8)
+    has found barren chains, census(3, 9) keeps none of them."""
     census(6, 8)
-    assert searched == []
+    assert any(v[0] is False for v in fresh_tree[8].values())
+    census(3, 9)
+    assert list(fresh_tree) == [9]
+    assert all(chain[0].degree == 9 for chain in fresh_tree[9])
 
 
-@pytest.mark.parametrize("ks", [(4, 6, 7, 8), (8, 7, 6, 4)])
+@pytest.mark.parametrize("ks", [(4, 6, 7, 8), (8, 7, 6, 4), (6, 8, 4, 7)])
 def test_a_shared_tree_gives_the_records_of_an_empty_one(fresh_tree, ks):
     """census(k, 8) after censuses of other k at 8 points, in either order,
     equals census(k, 8) run on an empty memo, and so does a run with two

@@ -115,6 +115,25 @@ def test_census_8_10_output_is_pinned():
     )
 
 
+@pytest.mark.parametrize(
+    "k,classes,digest",
+    [
+        (9, 80, "34cd65d4b6d6a317c55796f145a53c54feda1d2e586f859e472aa05c8230bf99"),
+        (7, 84, "4ac5503a1a6fd4b2f1e44fe211e9906869081ba209f3b79404dfe6362a43dee0"),
+    ],
+    ids=["census_9_12", "census_7_12"],
+)
+def test_census_at_twelve_points_output_is_pinned(k, classes, digest):
+    """Censuses whose chains are mostly barren, so that most partner
+    searches are skipped; the digests were recorded while every chain was
+    searched.  Run in one process, census(7, 12) expands chains of five
+    images that census(9, 12) left barren."""
+    rc, out = _run(["census", str(k), "12"])
+    assert rc == 0
+    assert len(json.loads(out)["classes"]) == classes
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_census_bprime_6_7_output_is_pinned():
     """The stdout digest recorded with the scan of S(7) for the u-image
     that preceded the relator search."""
