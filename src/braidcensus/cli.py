@@ -98,7 +98,7 @@ _SIX_POINT_BASES = {
 def _base_hom(name, n):
     """The named base on n points, built and checked against its Artin
     relations on the first call and shared by every later one, so each
-    further modulus of a base reaches ``cohomology._smith_pair`` with the
+    further modulus of a base reaches ``cohomology._cocycle_diagonal`` with the
     same immutable ``BraidHom``.  A base too large for its cocycle matrix,
     or a six-point base on other than 6 points, raises ``ValueError``
     before it is built; refusals are not cached."""

@@ -7,7 +7,9 @@ correspond to crossed homomorphisms ("cocycles") z assigning to each
 generator a vector in (Z/r)^t; the braid relations become an integer
 linear system, coboundaries the image of a difference operator, and the
 classification of block homomorphisms up to block-preserving conjugacy
-is the quotient.
+is the quotient.  That operator is an incidence matrix, so H^1 over Z is
+free and only its rank, t minus the orbits of W, enters: one Smith form,
+of the cocycle matrix, fixes H^1 for every r.
 
 A cocycle is stored as a list of m-1 integer vectors of length t.
 """
@@ -73,20 +75,6 @@ def cocycle_matrix(omega):
                 # (prefix s)^-1 = s^-1 prefix^-1
                 prefix_inv = [inverses[g - 1][x] for x in prefix_inv]
         rows += block
-    return rows
-
-
-def coboundary_matrix(omega):
-    """Columns generate the coboundaries: h goes to (T_p h - h) per generator."""
-    t = omega.n
-    rows = []
-    for s in omega.sigma:
-        s_inv = s.inv()
-        for i in range(1, t + 1):
-            row = [0] * t
-            row[s_inv(i) - 1] += 1
-            row[i - 1] -= 1
-            rows.append(row)
     return rows
 
 
@@ -218,24 +206,27 @@ def smith_normal_form(M):
 
 
 @functools.cache
-def _smith_pair(omega):
-    """The nonzero Smith diagonals (d of M, b of B) of a base homomorphism,
-    cached by what fixes M and B: the strand count, the point count and the
-    generator images, which is exactly ``BraidHom`` equality.  Every
-    modulus reads H^1 off the same pair."""
+def _cocycle_diagonal(omega):
+    """The nonzero Smith diagonal d of the cocycle matrix M and the rank of
+    the coboundary matrix B, cached by what fixes them: the strand count,
+    the point count and the generator images (``BraidHom`` equality).
+
+    The check M B = 0 builds no B: the coboundary of e_j is
+    e_(s_p(j)) - e_j in block p, so each entry a of a row of M, at column
+    (p, i), adds a at s_p^-1(i) and -a at i, and the totals must vanish."""
     M = cocycle_matrix(omega)
-    B = coboundary_matrix(omega)
-    # M B = 0 over the nonzero entries: a row of M has at most six, a row of
-    # B at most two.
-    sparse_B = [[(j, x) for j, x in enumerate(row) if x] for row in B]
+    t = omega.n
+    inverses = [[y - 1 for y in s.inv().images] for s in omega.sigma]
     for row in M:
-        total = {}
-        for i, a in compress(enumerate(row), row):
-            for j, x in sparse_B[i]:
-                total[j] = total.get(j, 0) + a * x
-        if any(total.values()):
+        total = [0] * t
+        for c, a in compress(enumerate(row), row):
+            p, i = divmod(c, t)
+            total[inverses[p][i]] += a
+            total[i] -= a
+        if any(total):
             raise RuntimeError("coboundaries are not cocycles")
-    return tuple(tuple(x for x in smith_normal_form(A) if x) for A in (M, B))
+    d = tuple(x for x in smith_normal_form(M) if x)
+    return d, t - len(omega.group().orbits())
 
 
 def h1_invariants(omega, r):
@@ -245,16 +236,17 @@ def h1_invariants(omega, r):
 
     The cochains form a complex of free abelian groups Z^t -B-> Z^N -M->
     Z^R, so by the universal coefficient theorem
-    H^1(Z/r) = H^1(Z) (x) Z/r + Tor(coker M, Z/r).  With d and b the
-    nonzero Smith diagonals of M and B, H^1(Z) = Z^f + sum Z/b_i with
-    f = N - |d| - |b| (ker M is saturated, so its quotient by im B has
-    the torsion of Z^N / im B), and Tor(coker M, Z/r) = sum Z/gcd(d_i, r).
-
-    The check M B = 0 and the Smith forms of M and B run once per base
-    homomorphism; every later modulus only takes gcds and merges them."""
-    d, b = _smith_pair(omega)
-    free = (0,) * ((omega.k - 1) * omega.n - len(d) - len(b))
-    orders = free + b if r == 0 else [math.gcd(x, r) for x in free + b + d]
+    H^1(Z/r) = H^1(Z) (x) Z/r + Tor(coker M, Z/r).  B is the transposed
+    incidence matrix of the directed graph with an edge from s_p^-1(i) to
+    i for each generator p and point i: it is totally unimodular
+    (Schrijver, Theory of Linear and Integer Programming, ch. 19), so
+    Z^N / im B is free and B has rank t minus the orbits of the base.
+    Hence H^1(Z) = ker M / im B is free of rank f = N - |d| - rank B, d
+    the nonzero Smith diagonal of M, and Tor(coker M, Z/r) is the sum of
+    the Z/gcd(d_i, r)."""
+    d, rank_b = _cocycle_diagonal(omega)
+    free = (omega.k - 1) * omega.n - len(d) - rank_b
+    orders = [0] * free if r == 0 else [r] * free + [math.gcd(x, r) for x in d]
     # The summands are cyclic of these orders; merging them gives the
     # invariant factors, ascending by divisibility with the Z summands (0)
     # last, and the 1s that coprime orders leave are dropped.

@@ -325,6 +325,17 @@ def coboundary_of(omega, r, h):
     return out
 
 
+def coboundary_matrix(omega):
+    """The integer coboundary matrix B: column j is the coboundary of the
+    unit vector e_j, one row per generator and point."""
+    t = omega.n
+    columns = [
+        sum(coboundary_of(omega, 0, [int(i == j) for i in range(t)]), ())
+        for j in range(t)
+    ]
+    return [list(row) for row in zip(*columns)]
+
+
 def is_cocycle(omega, r, z):
     """Direct check: the block homomorphism built from z satisfies the
     defining relations (independent of the linear-system encoding)."""

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import oracles
 from braidcensus import cohomology
 from braidcensus.cohomology import (
-    coboundary_matrix,
     cocycle_from_hom,
     cocycle_matrix,
     h1_invariants,
@@ -30,7 +29,9 @@ from braidcensus.homs import (
     doubled_standard_classes,
     exceptional_hom_six,
     five_strand_six_points,
+    six_strand_ten_points,
     standard_hom,
+    transposition_pair_hom,
 )
 from braidcensus.perm import Permutation
 
@@ -291,6 +292,9 @@ def test_cohomology_counts_match_exhaustion():
         (standard_hom(4), 3),
         (cyclic_hom(5, Permutation.from_cycles("(1,2,3)", 3)), 2),
         (cyclic_hom(5, Permutation.from_cycles("(1,2,3)", 3)), 3),
+        # Intransitive, with fixed points: rank B < t - 1.
+        (transposition_pair_hom(3), 2),
+        (cyclic_hom(4, Permutation.from_cycles("(1,2,3)", 4)), 2),
     ]:
         z1 = len(oracles.all_cocycles(base, r))
         b1 = len(oracles.all_coboundaries(base, r))
@@ -399,7 +403,7 @@ def _h1_by_lattice_quotient(omega, r):
     L = _kernel_lattice(M, r) if M else unit
     if not L:
         return []
-    B = coboundary_matrix(omega)
+    B = oracles.coboundary_matrix(omega)
     K = [[row[j] for row in B] for j in range(omega.n)]
     K += [[r * x for x in e] for e in unit] if r else []
     basis = [[g[i] for g in L] for i in range(cols)]
@@ -429,16 +433,36 @@ def test_h1_agrees_with_the_lattice_quotient():
     assert time.monotonic() - start < 5.0
 
 
+def test_the_coboundary_matrix_has_unit_smith_diagonal(census_cache):
+    """B is the transposed incidence matrix of a directed graph on the t
+    points, so its Smith diagonal is t minus the orbits 1s, then 0s, and
+    H^1 over Z has no torsion; ``h1_invariants`` relies on both and builds
+    no B.  Intransitive bases and fixed points included."""
+    bases = list(_named_bases(8)) + doubled_standard_classes(4)
+    bases += [transposition_pair_hom(5), six_strand_ten_points()]
+    for k, n in [(4, 6), (3, 7)]:
+        bases += [rec.hom for rec in census_cache(k, n)]
+    assert any(len(base.group().orbits()) > 2 for base in bases)
+    for base in bases:
+        rank = base.n - len(base.group().orbits())
+        B = oracles.coboundary_matrix(base)
+        assert smith_normal_form(B) == [1] * rank + [0] * (base.n - rank)
+        assert cohomology._cocycle_diagonal(base)[1] == rank
+        assert set(h1_invariants(base, 0)) <= {0}
+
+
 def test_the_cocycle_check_fires(monkeypatch):
-    """A coboundary matrix whose first row is off by one breaks M B = 0."""
+    """A cocycle matrix off by one at a point that its generator moves
+    breaks M B = 0."""
 
     def broken(omega):
-        B = coboundary_matrix(omega)
-        B[0] = [x + 1 for x in B[0]]
-        return B
+        M = cocycle_matrix(omega)
+        i = next(x for x in range(omega.n) if omega.sigma[0](x + 1) != x + 1)
+        M[0][i] += 1
+        return M
 
-    monkeypatch.setattr(cohomology, "coboundary_matrix", broken)
-    cohomology._smith_pair.cache_clear()
+    monkeypatch.setattr(cohomology, "cocycle_matrix", broken)
+    cohomology._cocycle_diagonal.cache_clear()
     with pytest.raises(RuntimeError, match="coboundaries are not cocycles"):
         h1_invariants(standard_hom(5), 3)
 
@@ -451,7 +475,7 @@ def test_the_smith_pair_is_built_once_per_base(monkeypatch):
         return cocycle_matrix(omega)
 
     monkeypatch.setattr(cohomology, "cocycle_matrix", counted)
-    cohomology._smith_pair.cache_clear()
+    cohomology._cocycle_diagonal.cache_clear()
     for base in (standard_hom(6), exceptional_hom_six(), standard_hom(6)):
         for r in (0, 2, 3, 4, 5, 6, 8, 12):
             h1_invariants(base, r)
@@ -517,7 +541,8 @@ def test_smith_diagonal_agrees_with_the_full_scan():
     bases += [five_strand_six_points(), exceptional_hom_six()]
     bases += [_cyclic_base(n) for n in range(2, 7)]
     bases += doubled_standard_classes(3)
-    matrices = [f(base) for base in bases for f in (cocycle_matrix, coboundary_matrix)]
+    matrices = [cocycle_matrix(base) for base in bases]
+    matrices += [oracles.coboundary_matrix(base) for base in bases]
     # No unit entry, so the pivot search falls back to the least |a|.
     rng = random.Random(31)
     for _ in range(200):
@@ -613,7 +638,7 @@ def test_h1_of_large_bases_matches_the_golden_file():
     """H^1 beyond the lattice-quotient oracle's reach, recorded with the
     dense elimination: per base, the invariant factors at each modulus,
     and the Smith diagonals of M and B as their rank and their factors
-    other than 1."""
+    other than 1.  B's is the oracle's; the package keeps only its rank."""
     golden = json.loads((GOLDEN / "h1_large_bases.json").read_text())
     start = time.monotonic()
     for entry in golden["bases"]:
@@ -621,7 +646,10 @@ def test_h1_of_large_bases_matches_the_golden_file():
         base = standard_hom(n) if entry["base"] == "standard" else _cyclic_base(n)
         assert base.k == entry["strands"]
         h1 = [h1_invariants(base, r) for r in golden["moduli"]]
-        pair = cohomology._smith_pair(base)
-        smith = [[len(x), [v for v in x if v != 1]] for x in pair]
+        d, rank_b = cohomology._cocycle_diagonal(base)
+        B = oracles.coboundary_matrix(base)
+        b = [x for x in smith_normal_form(B) if x]
+        smith = [[len(x), [v for v in x if v != 1]] for x in (d, b)]
         assert [h1, smith] == [entry["h1"], entry["smith"]]
+        assert smith[1] == [rank_b, []]
     assert time.monotonic() - start < 1.0
