@@ -17,8 +17,9 @@ size.  So each leaf chain is the least member of its C(s)-orbit, tuples
 compared image by image (orderly generation).  The centralizers come from
 ``perm.tuple_centralizer``: C(s) once per cycle type, the rest lazily, as a
 partner fixed by C(G_i), or the only partner, leaves C(G_{i+1}) = C(G_i).
-For s_2 the group is C(s), and the search for s_2 (``symmetry=`` C(s))
-skips partners that cannot be the least of their orbit.  The survivors, and
+For s_2 the group is C(s), and the search of the full root for s_2
+(``symmetry=`` C(s)) skips partners that cannot be the least of their
+orbit.  The survivors, and
 every deeper pool of partners, are split by the generators that
 ``perm.centralizer_generators`` builds from the centralizer, only when a
 pool needs splitting.  Past s_2 = s nothing is searched: an s_3 that braids
@@ -28,28 +29,36 @@ chain through it.  Every image of a map is conjugate to s, and s_{i+2}
 commutes with s_1, ..., s_i, so a chain of i images has a grandchild only
 if C(G_i) holds an element of s's cycle type.  A chain of at most k - 3
 images whose centralizer fails ``perm.holds_cycle_type`` is barren: its
-partners are not searched.  At a leaf the weight is the number of maps in
-the class, so it times |C(G)| must be |C(s)|.  The census records each
-class by the least conjugate under C(s) of its full-cycle image
-a = s_1 ... s_{k-1}, found by ``perm.least_conjugate`` from the point table
-of C(G) without walking the orbit of a; the commutator-subgroup census
-reads the same leaves.
+partners are not searched.  From k = 5 on, a chain (s, s_2) must pass, so
+the root searches only the fertile s_2, those that commute with some y of
+s's cycle type in C(s): for one y per C(s)-class of such elements
+(``perm.cycle_type_classes``), the partners of the chain (y, s), which
+braid with s and commute with y.  Their C(s)-orbits are exactly the
+fertile orbits (at n = 9, 13 of 110 non-constant ones; at n = 14, 164 of
+2 239), and one of them that fails the test is an error.  At a leaf the
+weight is the number of maps in the class, so it times |C(G)| must be
+|C(s)|.  The census records each class by the least conjugate under C(s)
+of its full-cycle image a = s_1 ... s_{k-1}, found by
+``perm.least_conjugate`` from the point table of C(G) without walking the
+orbit of a; the commutator-subgroup census reads the same leaves.
 
 A node's partners and their orbits do not depend on k, and neither does
 whether it is barren, so a process keeps the tree of the last point count:
 for each expanded chain, the least member and size of each partner orbit,
-for each tested chain its verdict, and C(s) for each first image s.  A
-later census or commutator census at the same n reads every node an earlier
-one expanded or found barren instead of searching or testing again; a
-census with k = i + 2, whose leaves are the children of a chain of i
-images, still expands a barren one.  A census at another n drops the old
-tree.  Only several censuses at one n in one process gain, such as the
-four of ``census K 8`` for K = 4, 6, 7, 8, or the two chain walks of
-``census-bprime K 6`` for K = 5, 6; a single census has nothing to share.
-A single run pays the memory of its tree: census(8,14) takes 2.5 to 3.5 s
-in 19.0 MB and census(8,16) 15.2 to 21.7 s in 28.7 to 28.9 MB peak RSS, in
-process (2-CPU host, Python 3.11.7; 2.8 to 4.6 s in 20.1 MB and 17.1 to
-23.8 s in 32.3 MB when every chain was searched).
+for each tested chain its verdict, and for each first image s, C(s) and
+its root, full or fertile only.  A later census or commutator census at
+the same n reads every node an earlier one expanded or found barren
+instead of searching or testing again; a census with k = i + 2, whose
+leaves are the children of a chain of i images, still expands a barren
+one, and a census with k <= 4 (a commutator census of B'_5 or B'_6
+among them) replaces a fertile root by the full one.  A census at another
+n drops the old tree.  Only several censuses at one n in one process
+gain, such as the four of ``census K 8`` for K = 4, 6, 7, 8, or the two
+chain walks of ``census-bprime K 6`` for K = 5, 6; a single census has
+nothing to share.  A single run pays the memory of its tree: census(8,14)
+takes 0.54 to 0.73 s in 18.1 MB and census(8,16) 2.9 to 3.3 s in 25.5 MB
+peak RSS, in process (2-CPU host, Python 3.11.7; 2.2 to 3.6 s in 19.0 MB
+and 15.9 to 19.3 s in 28.7 MB when the root held every partner).
 """
 
 from __future__ import annotations
@@ -64,6 +73,7 @@ from .perm import (
     canonical_of_cycle_type,
     centralizer_generators,
     conjugation_orbits,
+    cycle_type_classes,
     holds_cycle_type,
     least_conjugate,
     relator_solutions,
@@ -135,14 +145,45 @@ def braid_partners(chain, symmetry=None):
     return relator_solutions(chain[0].degree, relators, chain, symmetry=symmetry)
 
 
+def _powers(p):
+    """The images of the powers of p, as a frozenset."""
+    out, q = {p.images}, p * p
+    while q != p:
+        out.add(q.images)
+        q = q * p
+    return frozenset(out)
+
+
+def _fertile_partners(s1, root, parts):
+    """The s2 of the fertile chains (s1, s2), those whose centralizer holds
+    an element y of s1's cycle type, up to C(s1) = ``root``: with s1 itself,
+    a set that meets every C(s1)-orbit of them and holds no other s2.
+
+    Conjugating by C(s1) takes y to one of ``perm.cycle_type_classes``, and
+    the s2 that go with it braid with s1 and commute with y: the partners of
+    the chain (y, s1).  They depend on y only through <y>, and if s1 lies in
+    <y>, s2 commutes with s1 and so is s1.  y and s1 have one order, so s1
+    lies in <y> exactly when y lies in <s1>."""
+    found, groups, skip = {s1}, set(), _powers(s1)
+    for y in cycle_type_classes(root, parts):
+        if y.images in skip:
+            continue
+        group = _powers(y)
+        if group not in groups:
+            groups.add(group)
+            found.update(braid_partners((y, s1)))
+    return found
+
+
 # The tree of the last point count n, as {n: {chain: entry}}.  A first image
-# (s,) maps to (C(s), the orbits of its partners), and a chain of two or more
-# images to (fertile, orbits): fertile is None until the chain is tested and
-# then whether its centralizer holds an element of s's cycle type; orbits is
-# None until the chain is expanded and then a tuple of its partners' sorted
-# (least member, C(chain)-orbit size) pairs.  Tuples, no centralizer below
-# the root and no partners of a barren chain keep census(8,16) to 28.9 MB of
-# peak RSS.
+# (s,) maps to (C(s), the orbits of its partners, full): all of its partners
+# if full, else only those of the fertile chains (s, s2) and s itself, which
+# serve k >= 5 alone.  A chain of two or more images maps to (fertile,
+# orbits): fertile is None until the chain is tested and then whether its
+# centralizer holds an element of s's cycle type; orbits is None until the
+# chain is expanded and then a tuple of its partners' sorted (least member,
+# C(chain)-orbit size) pairs.  Tuples, no centralizer below the root and no
+# partners of a barren chain keep census(8,16) to 25.5 MB of peak RSS.
 _TREES = {}
 
 
@@ -156,13 +197,20 @@ def chain_leaves(k, n, parts):
         _TREES[n] = {}
     tree = _TREES[n]
     s1 = canonical_of_cycle_type(parts, n)
+    # From k = 5 on, a chain (s1, s2) is kept only if it is fertile, so the
+    # root need hold only the fertile partners; a full root serves every k.
+    fertile_only = k > 4
     top = tree.get((s1,))
-    if top is None:
-        root = tuple_centralizer((s1,))
-        partners = braid_partners((s1,), symmetry=root)
-        top = root, conjugation_orbits(partners, centralizer_generators(root))
+    if top is None or not (top[2] or fertile_only):
+        root = tuple_centralizer((s1,)) if top is None else top[0]
+        if fertile_only:
+            partners = _fertile_partners(s1, root, parts)
+        else:
+            partners = braid_partners((s1,), symmetry=root)
+        orbits = conjugation_orbits(partners, centralizer_generators(root))
+        top = root, orbits, not fertile_only
         tree[s1,] = top
-    root, orbits = top
+    root, orbits, full = top
     # Depth first over the chain prefixes, one per orbit of the centralizer
     # of the prefix: (prefix, weight, its centralizer or None until needed).
     stack = []
@@ -192,6 +240,8 @@ def chain_leaves(k, n, parts):
                     cent = tuple_centralizer(chain)
                 fertile = holds_cycle_type(cent, parts)
             if not fertile:
+                if len(chain) == 2 and not full:
+                    raise RuntimeError("a partner of the fertile root is barren")
                 tree[chain] = fertile, orbits
                 continue
         if orbits is None:

@@ -8,6 +8,7 @@ with that choice.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -659,51 +660,120 @@ def centralizer_generators(centralizer):
     return gens
 
 
-def holds_cycle_type(centralizer, parts):
-    """Whether the ``tuple_centralizer`` C(G) holds an element of cycle type
-    ``parts``, a partition of n with its parts of 1, decided from its
-    classes without listing any element.
+def _class_representatives(elements, cm):
+    """The first of ``elements`` in each conjugacy class of the semiregular
+    group ``cm`` of ``tuple_centralizer`` that they meet.  An element is
+    fixed by its image of position 0, which for b a b^-1 is
+    b(a(b^-1(0)))."""
+    out, seen = [], set()
+    pairs = [(b, b.index(0)) for b in cm]
+    for a in elements:
+        if a[0] not in seen:
+            seen.update(b[a[j]] for b, j in pairs)
+            out.append(a)
+    return out
 
-    An element of C_m wr S_t permutes the t copies and picks an element of
-    C_m on each.  A cycle of l copies whose product in C_m has order o
-    gives m/o cycles of length l o (C_m is semiregular), and the product
-    may be any element of C_m.  So ``parts`` is filled one class, and in it
-    one block of copies, at a time; a class's blocks are tried in
-    non-increasing (l, o) order, each multiset of them once.
+
+def cycle_type_classes(centralizer, parts, first=False):
+    """One element of each conjugacy class of the ``tuple_centralizer``
+    C(G) made of elements of cycle type ``parts``, a partition of n with
+    its parts of 1, found from its classes without listing C(G); with
+    ``first``, only the first of them.
+
+    C(G) is the product over its classes of C_m wr S_t.  A class of
+    C_m wr S_t is a multiset of blocks (l, K): a cycle of l copies whose
+    product in C_m lies in the conjugacy class K of C_m (James and Kerber,
+    The Representation Theory of the Symmetric Group, ch. 4).  If K has
+    order o, the block gives m/o cycles of length l o (C_m is
+    semiregular).  So ``parts`` is filled one class, and in it one block
+    of copies, at a time; a class's blocks are tried in non-increasing
+    (l, o) order, each multiset of them once, and each fill gives one
+    element per multiset of classes K of order o for the blocks (l, o) of
+    each size.  A block maps each of its copies onto the next point by
+    point and the last onto the first through an element of K.
     """
     need = {}
     for p in parts:
         need[p] = need.get(p, 0) + 1
-    classes = []
+    classes, lengths = [], set()
     for copies, cm in zip(centralizer.copies, centralizer.constituents):
-        orders = set()
+        by_order = {}
         for pi in cm:
             o, i = 1, pi[0]
             while i:
                 o, i = o + 1, pi[i]
-            orders.add(o)
-        classes.append((len(copies), len(copies[0]), sorted(orders, reverse=True)))
+            by_order.setdefault(o, []).append(pi)
+        orders = sorted(by_order, reverse=True)
+        classes.append((copies, len(copies[0]), orders, by_order))
+        for o in orders:
+            lengths.update(range(o, o * len(copies) + 1, o))
+    if not lengths.issuperset(need):
+        # A cycle length that no block gives: most barren chains fail here.
+        return []
+    n = len(centralizer.copy_of)
+    blocks = []  # (class, l, o) of each block taken so far
+    reps = {}  # (class, o): the classes K of order o, by their first elements
+    out = []
 
     def fill(c, left, top):
-        """Whether blocks of at most ``top`` = (l, o) can take the ``left``
-        copies of class c, and the later classes the rest of ``need``."""
+        """Take blocks of at most ``top`` = (l, o) for the ``left`` copies
+        of class c, and then for the later classes, until ``need`` is used
+        up; True once ``first`` has its element."""
         if not left:
             # Every block took its cycles from ``need``, which sums to n.
-            return c + 1 == len(classes) or fill(c + 1, classes[c + 1][0], (n, n))
-        _, m, orders = classes[c]
+            if c + 1 < len(classes):
+                return fill(c + 1, len(classes[c + 1][0]), (n, n))
+            build()
+            return first
+        _, m, orders, _ = classes[c]
         for l in range(min(left, top[0]), 0, -1):
             for o in orders:
                 if (l, o) > top or need.get(l * o, 0) < m // o:
                     continue
                 need[l * o] -= m // o
-                found = fill(c, left - l, (l, o))
+                blocks.append((c, l, o))
+                done = fill(c, left - l, (l, o))
+                blocks.pop()
                 need[l * o] += m // o
-                if found:
+                if done:
                     return True
         return False
 
-    n = len(centralizer.copy_of)
-    return fill(0, classes[0][0], (n, n))
+    def build():
+        if first:
+            # The first element of an order is the first of its class.
+            picks = [[classes[c][3][o][0] for c, _, o in blocks]]
+        else:
+            runs = []
+            for (c, _, o), same in itertools.groupby(blocks):
+                if (c, o) not in reps:
+                    cm = centralizer.constituents[c]
+                    reps[c, o] = _class_representatives(classes[c][3][o], cm)
+                runs.append(
+                    itertools.combinations_with_replacement(reps[c, o], len(list(same)))
+                )
+            picks = (sum(pick, ()) for pick in itertools.product(*runs))
+        for pis in picks:
+            images = list(range(1, n + 1))
+            at = [0] * len(classes)  # the next free copy of each class
+            for (c, l, _), pi in zip(blocks, pis):
+                block = classes[c][0][at[c] : at[c] + l]
+                at[c] += l
+                for src, dst in zip(block, block[1:]):
+                    for x, y in zip(src, dst):
+                        images[x - 1] = y
+                for x, i in zip(block[-1], pi):
+                    images[x - 1] = block[0][i]
+            out.append(Permutation._trusted(tuple(images)))
+
+    fill(0, len(classes[0][0]), (n, n))
+    return out
+
+
+def holds_cycle_type(centralizer, parts):
+    """Whether the ``tuple_centralizer`` C(G) holds an element of cycle type
+    ``parts``: whether ``cycle_type_classes`` finds one."""
+    return bool(cycle_type_classes(centralizer, parts, first=True))
 
 
 def least_conjugate(a, s, centralizer):

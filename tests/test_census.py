@@ -14,6 +14,7 @@ from braidcensus.census import (
     MAX_POINTS,
     MAX_STRANDS,
     CensusRecord,
+    braid_partners,
     census,
     chain_leaves,
     select,
@@ -404,6 +405,104 @@ def test_a_commutator_census_after_a_census_gives_the_records_of_an_empty_tree(
     shared = commutator_census(6, 6)
     fresh_tree.clear()
     assert shared == commutator_census(6, 6)
+
+
+def _roots(tree):
+    return [entry for chain, entry in tree.items() if len(chain) == 1]
+
+
+def test_a_full_root_replaces_a_fertile_one_for_fewer_strands(fresh_tree):
+    """census(6, 9) builds fertile roots only; census(3, 9) and census(4, 9)
+    test no chain of two images, so they build full roots in their place,
+    and each census equals its run on an empty tree."""
+    shared = {k: census(k, 9) for k in (6, 3, 4)}
+    assert all(full for _, _, full in _roots(fresh_tree[9]))
+    for k in (6, 3, 4):
+        fresh_tree.clear()
+        assert shared[k] == census(k, 9)
+
+
+def test_a_commutator_census_after_a_fertile_root_gives_the_records_of_an_empty_tree(
+    fresh_tree,
+):
+    """census(6, 6) leaves fertile roots; commutator_census(6, 6) walks
+    chains of B_4, which needs the full ones."""
+    census(6, 6)
+    assert not any(full for _, _, full in _roots(fresh_tree[6]))
+    shared = commutator_census(6, 6)
+    fresh_tree.clear()
+    assert shared == commutator_census(6, 6)
+
+
+def _fertile_orbits_by_filter(parts, n):
+    """The orbits of the full root, kept where C(s1, s2) holds an element of
+    s1's cycle type, and the constant chain's."""
+    s1 = canonical_of_cycle_type(parts, n)
+    root = tuple_centralizer((s1,))
+    orbits = conjugation_orbits(
+        braid_partners((s1,), symmetry=root), centralizer_generators(root)
+    )
+    return [
+        (s2, size)
+        for s2, size in orbits
+        if s2 == s1 or holds_cycle_type(tuple_centralizer((s1, s2)), parts)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n,types",
+    [(n, None) for n in range(2, 12)]
+    + [
+        (
+            12,
+            [
+                (2,) * 4 + (1,) * 4,
+                (2,) * 3 + (1,) * 6,
+                (3, 2, 2, 2, 1, 1, 1),
+                (4, 2, 2, 2, 1, 1),
+                (3, 3, 2, 2, 2),
+                (4, 4, 2, 2),
+                (2,) * 6,
+            ],
+        )
+    ],
+)
+def test_the_fertile_root_holds_exactly_the_fertile_orbits(fresh_tree, n, types):
+    """From k = 5 on, the root of a cycle type holds the orbits of the s2
+    that braid with s1 and commute with an element of s1's cycle type in
+    C(s1), found class by class; they must be the orbits of the full root
+    that pass the barren test, and the constant one.  Every type for
+    n <= 11, and at n = 12 seven types with three to six fertile orbits
+    each: about 0.5 s in all."""
+    for parts in types or all_partitions(n):
+        next(chain_leaves(5, n, parts), None)
+        s1 = canonical_of_cycle_type(parts, n)
+        _, orbits, full = fresh_tree[n][s1,]
+        assert not full
+        assert list(orbits) == _fertile_orbits_by_filter(parts, n), parts
+
+
+def test_a_barren_partner_of_a_fertile_root_is_an_error(fresh_tree, monkeypatch):
+    """Every partner of a fertile root passes the barren test by
+    construction; one that fails it is a fault in the root, not a chain to
+    prune."""
+    fertile = CENSUS_MODULE._fertile_partners
+    injected = []
+
+    def with_a_barren_one(s1, root, parts):
+        found = fertile(s1, root, parts)
+        if not injected:
+            for s2 in braid_partners((s1,)):
+                if not holds_cycle_type(tuple_centralizer((s1, s2)), parts):
+                    injected.append(s2)
+                    found.add(s2)
+                    break
+        return found
+
+    monkeypatch.setattr(CENSUS_MODULE, "_fertile_partners", with_a_barren_one)
+    with pytest.raises(RuntimeError, match="fertile root is barren"):
+        census(6, 8)
+    assert injected
 
 
 def test_a_census_at_another_point_count_drops_the_old_tree(fresh_tree):

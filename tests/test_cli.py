@@ -115,6 +115,23 @@ def test_census_8_10_output_is_pinned():
     )
 
 
+def test_census_8_14_output_is_pinned_within_two_seconds():
+    """A census at the wall of tier 1: from an empty chain tree it takes
+    0.55 to 1.0 s (2-CPU host, Python 3.11.7), against 2.2 to 3.6 s when
+    every partner of each first image was searched and walked.  The digest
+    was recorded with that full search."""
+    sys.modules["braidcensus.census"]._TREES.clear()
+    start = time.perf_counter()
+    rc, out = _run(["census", "8", "14"])
+    assert time.perf_counter() - start < 2.0
+    assert rc == 0
+    assert len(json.loads(out)["classes"]) == 146
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "c491be1d3c8ffc7b67c2d8d279aba97e49e88e1ce6c1d5157526e36f6ec55a81"
+    )
+
+
 @pytest.mark.parametrize(
     "k,classes,digest",
     [

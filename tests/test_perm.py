@@ -24,6 +24,7 @@ from braidcensus.perm import (
     canonical_of_cycle_type,
     centralizer_generators,
     conjugation_orbits,
+    cycle_type_classes,
     holds_cycle_type,
     least_conjugate,
     r_component,
@@ -252,6 +253,48 @@ def test_holds_cycle_type_matches_brute_force():
                 )
                 held += parts in types
     assert 500 < held < 1000
+
+
+def _cycle_type(x):
+    return tuple(sorted(map(len, x.cycles(include_fixed=True)), reverse=True))
+
+
+def _assert_one_element_per_class(perms):
+    """``cycle_type_classes`` against C(G) found by scanning S(n): for each
+    partition of n, its elements lie in C(G), have that cycle type, and
+    meet each C(G)-class of such elements exactly once."""
+    n = perms[0].degree
+    cent = tuple_centralizer(perms)
+    expected = _brute_centralizer(perms)
+    classes, left = {}, set(expected)
+    while left:
+        x = min(left)
+        cls = frozenset(x.conj(g) for g in expected)
+        left -= cls
+        classes.setdefault(_cycle_type(x), set()).add(cls)
+    for parts in all_partitions(n):
+        found = list(cycle_type_classes(cent, parts))
+        assert all(x in expected and _cycle_type(x) == parts for x in found)
+        met = [next(c for c in classes[parts] if x in c) for x in found]
+        assert len(set(met)) == len(met), (perms, parts)
+        assert set(met) == classes.get(parts, set()), (perms, parts)
+
+
+def test_cycle_type_classes_match_brute_force():
+    """One element per class for each class-minimal s up to 7 points, and
+    for tuples whose group has isomorphic orbits, where C_m may be
+    non-abelian (it is S_3 on a regular orbit of S_3)."""
+    for n in range(1, 8):
+        for s in oracles.conjugacy_class_representatives(n):
+            _assert_one_element_per_class((s,))
+    a, b = Permutation.from_cycles("(1,2)(3,4)(5,6)", 6), Permutation.from_cycles(
+        "(1,3,5)(2,6,4)", 6
+    )
+    _assert_one_element_per_class((a, b))
+    rng = random.Random(5)
+    for n in range(2, 8):
+        for _ in range(6):
+            _assert_one_element_per_class(_copied_tuple(rng, n))
 
 
 def test_tuple_centralizer_of_one_permutation_is_its_centralizer():
