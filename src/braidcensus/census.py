@@ -26,39 +26,38 @@ pool needs splitting.  Past s_2 = s nothing is searched: an s_3 that braids
 with s and commutes with it is s (s s_3 s = s_3 s s_3 and s s_3 = s_3 s
 give s = s_3), and so on, so the constant chain (s, ..., s) is the only
 chain through it.  Every image of a map is conjugate to s, and s_{i+2}
-commutes with s_1, ..., s_i, so a chain of i images has a grandchild only
-if C(G_i) holds an element of s's cycle type.  A chain of at most k - 3
-images whose centralizer fails ``perm.holds_cycle_type`` is barren: its
-partners are not searched.  From k = 5 on, a chain (s, s_2) must pass, so
-the root searches only the fertile s_2, those that commute with some y of
-s's cycle type in C(s): for one y per C(s)-class of such elements
+commutes with s_1, ..., s_i, so a chain (s, s_2) has a grandchild only if
+C(s, s_2) holds an element y of s's cycle type: only if it is fertile.
+From k = 5 on every leaf lies below such a grandchild, so the root
+searches only the fertile s_2: for one y per C(s)-class of such elements
 (``perm.cycle_type_classes``), the partners of the chain (y, s), which
 braid with s and commute with y.  Their C(s)-orbits are exactly the
 fertile orbits (at n = 9, 13 of 110 non-constant ones; at n = 14, 164 of
-2 239), and one of them that fails the test is an error.  At a leaf the
-weight is the number of maps in the class, so it times |C(G)| must be
-|C(s)|.  The census records each class by the least conjugate under C(s)
-of its full-cycle image a = s_1 ... s_{k-1}, found by
-``perm.least_conjugate`` from the point table of C(G) without walking the
-orbit of a; the commutator-subgroup census reads the same leaves.
+2 239).  Each y is checked to have s's cycle type and commute with s, and
+each of its partners to commute with y, so every s_2 kept is certified
+fertile.  Deeper chains are searched whether or not they have
+grandchildren.  At a leaf the weight is the number of maps in the class,
+so it times |C(G)| must be |C(s)|.  The census records each class by the
+least conjugate under C(s) of its full-cycle image a = s_1 ... s_{k-1},
+found by ``perm.least_conjugate`` from the point table of C(G) without
+walking the orbit of a; the commutator-subgroup census reads the same
+leaves.
 
-A node's partners and their orbits do not depend on k, and neither does
-whether it is barren, so a process keeps the tree of the last point count:
-for each expanded chain, the least member and size of each partner orbit,
-for each tested chain its verdict, and for each first image s, C(s) and
-its root, full or fertile only.  A later census or commutator census at
-the same n reads every node an earlier one expanded or found barren
-instead of searching or testing again; a census with k = i + 2, whose
-leaves are the children of a chain of i images, still expands a barren
-one, and a census with k <= 4 (a commutator census of B'_5 or B'_6
-among them) replaces a fertile root by the full one.  A census at another
-n drops the old tree.  Only several censuses at one n in one process
-gain, such as the four of ``census K 8`` for K = 4, 6, 7, 8, or the two
-chain walks of ``census-bprime K 6`` for K = 5, 6; a single census has
-nothing to share.  A single run pays the memory of its tree: census(8,14)
-takes 0.54 to 0.73 s in 18.1 MB and census(8,16) 2.9 to 3.3 s in 25.5 MB
-peak RSS, in process (2-CPU host, Python 3.11.7; 2.2 to 3.6 s in 19.0 MB
-and 15.9 to 19.3 s in 28.7 MB when the root held every partner).
+A node's partners and their orbits do not depend on k, so a process keeps
+the tree of the last point count: for each expanded chain, the least
+member and size of each partner orbit, and for each first image s, C(s)
+and the orbits of its root, fertile, full or both side by side.  A later
+census or commutator census at the same n reads every node an earlier one
+expanded instead of searching again, and builds each root at most once:
+a census with k <= 4 (a commutator census of B'_5 or B'_6 among them)
+needs the full root and adds it beside a fertile one.  A census at
+another n drops the old tree.  Only several censuses at one n in one
+process gain, such as the four of ``census K 8`` for K = 4, 6, 7, 8, or
+the two chain walks of ``census-bprime K 6`` for K = 5, 6; a single
+census has nothing to share.  A single run pays the memory of its tree:
+census(8,14) takes 0.6 to 0.8 s in 23.6 MB and census(8,16) 2.9 to 5.5 s
+in 29.7 MB of peak RSS, one process each (2-CPU host, Python 3.11.7; 2.2
+to 3.6 s and 15.9 to 19.3 s when the root held every partner).
 """
 
 from __future__ import annotations
@@ -74,7 +73,6 @@ from .perm import (
     centralizer_generators,
     conjugation_orbits,
     cycle_type_classes,
-    holds_cycle_type,
     least_conjugate,
     relator_solutions,
     tuple_centralizer,
@@ -163,27 +161,31 @@ def _fertile_partners(s1, root, parts):
     the s2 that go with it braid with s1 and commute with y: the partners of
     the chain (y, s1).  They depend on y only through <y>, and if s1 lies in
     <y>, s2 commutes with s1 and so is s1.  y and s1 have one order, so s1
-    lies in <y> exactly when y lies in <s1>."""
-    found, groups, skip = {s1}, set(), _powers(s1)
+    lies in <y> exactly when y lies in <s1>.  Each y searched must have
+    s1's cycle type and commute with s1 and with each of its partners: that
+    certifies every s2 found fertile."""
+    kind, found, groups, skip = s1.cycle_type(), {s1}, set(), _powers(s1)
     for y in cycle_type_classes(root, parts):
         if y.images in skip:
             continue
         group = _powers(y)
         if group not in groups:
             groups.add(group)
-            found.update(braid_partners((y, s1)))
+            partners = braid_partners((y, s1))
+            if y.cycle_type() != kind or any(x * y != y * x for x in (s1, *partners)):
+                raise RuntimeError("a partner of the fertile root is barren")
+            found.update(partners)
     return found
 
 
 # The tree of the last point count n, as {n: {chain: entry}}.  A first image
-# (s,) maps to (C(s), the orbits of its partners, full): all of its partners
-# if full, else only those of the fertile chains (s, s2) and s itself, which
-# serve k >= 5 alone.  A chain of two or more images maps to (fertile,
-# orbits): fertile is None until the chain is tested and then whether its
-# centralizer holds an element of s's cycle type; orbits is None until the
-# chain is expanded and then a tuple of its partners' sorted (least member,
-# C(chain)-orbit size) pairs.  Tuples, no centralizer below the root and no
-# partners of a barren chain keep census(8,16) to 25.5 MB of peak RSS.
+# (s,) maps to [C(s), fertile, full]: each root stays None until a census
+# needs it, and then holds the sorted (least member, C(s)-orbit size) pairs
+# of its partners, every partner for full (k <= 4), and for fertile (k >= 5)
+# only those of the fertile chains (s, s2) and s itself.  A chain of two or
+# more images maps, once expanded, to the same pairs for its partners under
+# C(chain).  Tuples and no centralizer below the root keep census(8,16) to
+# 30 MB of peak RSS.
 _TREES = {}
 
 
@@ -197,24 +199,23 @@ def chain_leaves(k, n, parts):
         _TREES[n] = {}
     tree = _TREES[n]
     s1 = canonical_of_cycle_type(parts, n)
-    # From k = 5 on, a chain (s1, s2) is kept only if it is fertile, so the
-    # root need hold only the fertile partners; a full root serves every k.
-    fertile_only = k > 4
     top = tree.get((s1,))
-    if top is None or not (top[2] or fertile_only):
-        root = tuple_centralizer((s1,)) if top is None else top[0]
-        if fertile_only:
+    if top is None:
+        top = tree[s1,] = [tuple_centralizer((s1,)), None, None]
+    root = top[0]
+    # From k = 5 on, every leaf lies below a grandchild of its chain (s1, s2),
+    # which it has only if fertile, so the root need hold only those s2.
+    side = 1 if k > 4 else 2
+    if top[side] is None:
+        if k > 4:
             partners = _fertile_partners(s1, root, parts)
         else:
             partners = braid_partners((s1,), symmetry=root)
-        orbits = conjugation_orbits(partners, centralizer_generators(root))
-        top = root, orbits, not fertile_only
-        tree[s1,] = top
-    root, orbits, full = top
+        top[side] = conjugation_orbits(partners, centralizer_generators(root))
     # Depth first over the chain prefixes, one per orbit of the centralizer
     # of the prefix: (prefix, weight, its centralizer or None until needed).
     stack = []
-    for s2, size in orbits:
+    for s2, size in top[side]:
         if s2 == s1:
             # s3 braids with s2 = s1 and commutes with s1, so s3 = s1, and
             # so on down the chain: the constant chain is the only one.
@@ -230,20 +231,7 @@ def chain_leaves(k, n, parts):
                 raise RuntimeError("class weight and centralizer order disagree")
             yield chain, weight, cent
             continue
-        fertile, orbits = tree.get(chain, (None, None))
-        if len(chain) + 2 < k:
-            # s_{i+2} commutes with s1..s_i and is conjugate to s1, so a
-            # chain whose centralizer holds no element of s1's cycle type
-            # has no grandchild.
-            if fertile is None:
-                if cent is None:
-                    cent = tuple_centralizer(chain)
-                fertile = holds_cycle_type(cent, parts)
-            if not fertile:
-                if len(chain) == 2 and not full:
-                    raise RuntimeError("a partner of the fertile root is barren")
-                tree[chain] = fertile, orbits
-                continue
+        orbits = tree.get(chain)
         if orbits is None:
             pool = braid_partners(chain)
             if len(pool) < 2:
@@ -254,8 +242,8 @@ def chain_leaves(k, n, parts):
                 orbits = tuple(conjugation_orbits(pool, centralizer_generators(cent)))
                 if sum(size for _, size in orbits) != len(pool):
                     raise RuntimeError("centralizer orbits do not count the partners")
-        # Stored only once checked, so no later census reads a bad node.
-        tree[chain] = fertile, orbits
+            # Stored only once checked, so no later census reads a bad node.
+            tree[chain] = orbits
         # A partner fixed by the centralizer leaves it unchanged.
         stack.extend(
             (chain + (x,), weight * size, cent if size == 1 else None)

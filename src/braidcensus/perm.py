@@ -674,11 +674,10 @@ def _class_representatives(elements, cm):
     return out
 
 
-def cycle_type_classes(centralizer, parts, first=False):
+def cycle_type_classes(centralizer, parts):
     """One element of each conjugacy class of the ``tuple_centralizer``
     C(G) made of elements of cycle type ``parts``, a partition of n with
-    its parts of 1, found from its classes without listing C(G); with
-    ``first``, only the first of them.
+    its parts of 1, found from its classes without listing C(G).
 
     C(G) is the product over its classes of C_m wr S_t.  A class of
     C_m wr S_t is a multiset of blocks (l, K): a cycle of l copies whose
@@ -695,7 +694,7 @@ def cycle_type_classes(centralizer, parts, first=False):
     need = {}
     for p in parts:
         need[p] = need.get(p, 0) + 1
-    classes, lengths = [], set()
+    classes = []
     for copies, cm in zip(centralizer.copies, centralizer.constituents):
         by_order = {}
         for pi in cm:
@@ -705,11 +704,6 @@ def cycle_type_classes(centralizer, parts, first=False):
             by_order.setdefault(o, []).append(pi)
         orders = sorted(by_order, reverse=True)
         classes.append((copies, len(copies[0]), orders, by_order))
-        for o in orders:
-            lengths.update(range(o, o * len(copies) + 1, o))
-    if not lengths.issuperset(need):
-        # A cycle length that no block gives: most barren chains fail here.
-        return []
     n = len(centralizer.copy_of)
     blocks = []  # (class, l, o) of each block taken so far
     reps = {}  # (class, o): the classes K of order o, by their first elements
@@ -718,13 +712,14 @@ def cycle_type_classes(centralizer, parts, first=False):
     def fill(c, left, top):
         """Take blocks of at most ``top`` = (l, o) for the ``left`` copies
         of class c, and then for the later classes, until ``need`` is used
-        up; True once ``first`` has its element."""
+        up."""
         if not left:
             # Every block took its cycles from ``need``, which sums to n.
             if c + 1 < len(classes):
-                return fill(c + 1, len(classes[c + 1][0]), (n, n))
-            build()
-            return first
+                fill(c + 1, len(classes[c + 1][0]), (n, n))
+            else:
+                build()
+            return
         _, m, orders, _ = classes[c]
         for l in range(min(left, top[0]), 0, -1):
             for o in orders:
@@ -732,31 +727,23 @@ def cycle_type_classes(centralizer, parts, first=False):
                     continue
                 need[l * o] -= m // o
                 blocks.append((c, l, o))
-                done = fill(c, left - l, (l, o))
+                fill(c, left - l, (l, o))
                 blocks.pop()
                 need[l * o] += m // o
-                if done:
-                    return True
-        return False
 
     def build():
-        if first:
-            # The first element of an order is the first of its class.
-            picks = [[classes[c][3][o][0] for c, _, o in blocks]]
-        else:
-            runs = []
-            for (c, _, o), same in itertools.groupby(blocks):
-                if (c, o) not in reps:
-                    cm = centralizer.constituents[c]
-                    reps[c, o] = _class_representatives(classes[c][3][o], cm)
-                runs.append(
-                    itertools.combinations_with_replacement(reps[c, o], len(list(same)))
-                )
-            picks = (sum(pick, ()) for pick in itertools.product(*runs))
-        for pis in picks:
+        runs = []
+        for (c, _, o), same in itertools.groupby(blocks):
+            if (c, o) not in reps:
+                cm = centralizer.constituents[c]
+                reps[c, o] = _class_representatives(classes[c][3][o], cm)
+            runs.append(
+                itertools.combinations_with_replacement(reps[c, o], len(list(same)))
+            )
+        for pick in itertools.product(*runs):
             images = list(range(1, n + 1))
             at = [0] * len(classes)  # the next free copy of each class
-            for (c, l, _), pi in zip(blocks, pis):
+            for (c, l, _), pi in zip(blocks, sum(pick, ())):
                 block = classes[c][0][at[c] : at[c] + l]
                 at[c] += l
                 for src, dst in zip(block, block[1:]):
@@ -768,12 +755,6 @@ def cycle_type_classes(centralizer, parts, first=False):
 
     fill(0, len(classes[0][0]), (n, n))
     return out
-
-
-def holds_cycle_type(centralizer, parts):
-    """Whether the ``tuple_centralizer`` C(G) holds an element of cycle type
-    ``parts``: whether ``cycle_type_classes`` finds one."""
-    return bool(cycle_type_classes(centralizer, parts, first=True))
 
 
 def least_conjugate(a, s, centralizer):

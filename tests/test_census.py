@@ -28,7 +28,7 @@ from braidcensus.perm import (
     canonical_of_cycle_type,
     centralizer_generators,
     conjugation_orbits,
-    holds_cycle_type,
+    cycle_type_classes,
     tuple_centralizer,
 )
 
@@ -122,7 +122,7 @@ def test_census_is_deterministic_across_worker_counts(fresh_tree):
     assert [r.orbit_size for r in single] == [r.orbit_size for r in multi]
     again = census(3, 5, workers=1)
     assert [r.hom for r in single] == [r.hom for r in again]
-    # Each pool worker keeps its own tree and prunes its barren chains, here
+    # Each pool worker keeps its own tree and builds its fertile roots, here
     # from an empty one.
     fresh_tree.clear()
     multi = census(6, 9, workers=2)
@@ -326,17 +326,24 @@ def test_a_wrong_centralizer_order_breaks_the_class_weight(fresh_tree, monkeypat
 
 def test_censuses_at_one_point_count_share_the_chain_tree(fresh_tree, monkeypatch):
     """A node's partners do not depend on k, so censuses at 8 points in any
-    order search each chain at most once, and a census repeated searches
-    nothing.  The order tests nodes that a smaller k expanded and expands
-    nodes that a larger k left barren."""
+    order search each chain at most once, build each cycle type's fertile
+    root at most once, and a census repeated searches nothing.  The order
+    builds full roots beside fertile ones and fertile roots beside full
+    ones."""
     partners = CENSUS_MODULE.braid_partners
-    searched = []
+    fertile = CENSUS_MODULE._fertile_partners
+    searched, rooted = [], []
 
     def spy(chain, symmetry=None):
         searched.append(chain)
         return partners(chain, symmetry=symmetry)
 
+    def root_spy(s1, root, parts):
+        rooted.append(parts)
+        return fertile(s1, root, parts)
+
     monkeypatch.setattr(CENSUS_MODULE, "braid_partners", spy)
+    monkeypatch.setattr(CENSUS_MODULE, "_fertile_partners", root_spy)
     done = set()
     for k in (4, 8, 6, 7, 8, 4):
         before = len(searched)
@@ -346,13 +353,15 @@ def test_censuses_at_one_point_count_share_the_chain_tree(fresh_tree, monkeypatc
         done.add(k)
     assert searched
     assert len(set(searched)) == len(searched)
+    assert rooted
+    assert len(set(rooted)) == len(rooted)
 
 
-def test_no_partner_is_searched_below_a_barren_chain(fresh_tree, monkeypatch):
-    """s_{i+2} commutes with s_1..s_i and is conjugate to s_1, so census(6, 9)
-    searches no chain of up to three images whose centralizer holds no
-    element of s_1's cycle type.  That cuts more than half of the 310
-    searches a census makes that tests no chain."""
+def test_census_6_9_makes_fewer_than_155_partner_searches(fresh_tree, monkeypatch):
+    """From k = 5 on the root searches only the s_2 whose centralizer holds
+    an element of s_1's cycle type, so census(6, 9) makes fewer than half
+    of the 310 partner searches it makes when the root holds every
+    partner and no chain is left out."""
     partners = CENSUS_MODULE.braid_partners
     searched = []
 
@@ -363,28 +372,34 @@ def test_no_partner_is_searched_below_a_barren_chain(fresh_tree, monkeypatch):
     monkeypatch.setattr(CENSUS_MODULE, "braid_partners", spy)
     census(6, 9)
     assert 0 < len(searched) < 310 / 2
-    for chain in searched:
-        if 1 < len(chain) <= 3:
-            cycles = chain[0].cycles(include_fixed=True)
-            parts = tuple(sorted(map(len, cycles), reverse=True))
-            assert holds_cycle_type(tuple_centralizer(chain), parts), chain
-    # The barren chains are kept as such, with no partners.
-    barren = [v for v in fresh_tree[9].values() if v[0] is False]
-    assert barren
-    assert all(orbits is None for _, orbits in barren)
 
 
 def test_a_census_at_another_point_count_drops_the_verdicts(fresh_tree):
-    """The verdicts live in the tree of their point count: after census(6, 8)
-    has found barren chains, census(3, 9) keeps none of them."""
+    """The tree holds no verdicts, only partner orbits, and the whole tree
+    belongs to its point count: after census(6, 8) and census(4, 8) have
+    left roots with both orbit sets, census(3, 9) keeps no chain on 8
+    points and builds full roots only."""
     census(6, 8)
-    assert any(v[0] is False for v in fresh_tree[8].values())
+    census(4, 8)
+    assert all(None not in entry for entry in _roots(fresh_tree[8]))
     census(3, 9)
     assert list(fresh_tree) == [9]
     assert all(chain[0].degree == 9 for chain in fresh_tree[9])
+    assert all(fertile is None for _, fertile, _ in _roots(fresh_tree[9]))
 
 
-@pytest.mark.parametrize("ks", [(4, 6, 7, 8), (8, 7, 6, 4), (6, 8, 4, 7)])
+@pytest.mark.parametrize(
+    "ks",
+    [
+        (4, 6, 7, 8),
+        (8, 7, 6, 4),
+        (6, 8, 4, 7),
+        (8, 4, 7, 6),
+        (6, 7, 8, 4),
+        (7, 4, 8, 6),
+        (4, 6, 8, 7),
+    ],
+)
 def test_a_shared_tree_gives_the_records_of_an_empty_one(fresh_tree, ks):
     """census(k, 8) after censuses of other k at 8 points, in either order,
     equals census(k, 8) run on an empty memo, and so does a run with two
@@ -412,12 +427,16 @@ def _roots(tree):
 
 
 def test_a_full_root_replaces_a_fertile_one_for_fewer_strands(fresh_tree):
-    """census(6, 9) builds fertile roots only; census(3, 9) and census(4, 9)
-    test no chain of two images, so they build full roots in their place,
-    and each census equals its run on an empty tree."""
-    shared = {k: census(k, 9) for k in (6, 3, 4)}
-    assert all(full for _, _, full in _roots(fresh_tree[9]))
-    for k in (6, 3, 4):
+    """A full root no longer replaces a fertile one: census(6, 9) builds
+    fertile roots only, census(3, 9) and census(4, 9) need every chain of
+    two images, so they build full roots beside them, and a census(7, 9)
+    after them reads the fertile ones.  Each census equals its run on an
+    empty tree."""
+    shared = {k: census(k, 9) for k in (6, 3, 4, 7)}
+    roots = _roots(fresh_tree[9])
+    assert all(fertile and full for _, fertile, full in roots)
+    assert any(len(fertile) < len(full) for _, fertile, full in roots)
+    for k in (6, 3, 4, 7):
         fresh_tree.clear()
         assert shared[k] == census(k, 9)
 
@@ -425,18 +444,21 @@ def test_a_full_root_replaces_a_fertile_one_for_fewer_strands(fresh_tree):
 def test_a_commutator_census_after_a_fertile_root_gives_the_records_of_an_empty_tree(
     fresh_tree,
 ):
-    """census(6, 6) leaves fertile roots; commutator_census(6, 6) walks
-    chains of B_4, which needs the full ones."""
+    """census(6, 6) leaves fertile roots only; commutator_census(6, 6) walks
+    chains of B_4 for the even cycle types, which needs full roots beside
+    theirs."""
     census(6, 6)
-    assert not any(full for _, _, full in _roots(fresh_tree[6]))
+    assert all(full is None for _, _, full in _roots(fresh_tree[6]))
     shared = commutator_census(6, 6)
+    assert any(fertile and full for _, fertile, full in _roots(fresh_tree[6]))
     fresh_tree.clear()
     assert shared == commutator_census(6, 6)
 
 
 def _fertile_orbits_by_filter(parts, n):
     """The orbits of the full root, kept where C(s1, s2) holds an element of
-    s1's cycle type, and the constant chain's."""
+    s1's cycle type (``perm.cycle_type_classes`` finds one), and the
+    constant chain's."""
     s1 = canonical_of_cycle_type(parts, n)
     root = tuple_centralizer((s1,))
     orbits = conjugation_orbits(
@@ -445,7 +467,7 @@ def _fertile_orbits_by_filter(parts, n):
     return [
         (s2, size)
         for s2, size in orbits
-        if s2 == s1 or holds_cycle_type(tuple_centralizer((s1, s2)), parts)
+        if s2 == s1 or cycle_type_classes(tuple_centralizer((s1, s2)), parts)
     ]
 
 
@@ -471,35 +493,45 @@ def test_the_fertile_root_holds_exactly_the_fertile_orbits(fresh_tree, n, types)
     """From k = 5 on, the root of a cycle type holds the orbits of the s2
     that braid with s1 and commute with an element of s1's cycle type in
     C(s1), found class by class; they must be the orbits of the full root
-    that pass the barren test, and the constant one.  Every type for
+    whose centralizer holds such an element, and the constant one.  Every
+    type for
     n <= 11, and at n = 12 seven types with three to six fertile orbits
     each: about 0.5 s in all."""
     for parts in types or all_partitions(n):
         next(chain_leaves(5, n, parts), None)
         s1 = canonical_of_cycle_type(parts, n)
-        _, orbits, full = fresh_tree[n][s1,]
-        assert not full
-        assert list(orbits) == _fertile_orbits_by_filter(parts, n), parts
+        _, fertile, full = fresh_tree[n][s1,]
+        assert full is None
+        assert list(fertile) == _fertile_orbits_by_filter(parts, n), parts
 
 
 def test_a_barren_partner_of_a_fertile_root_is_an_error(fresh_tree, monkeypatch):
-    """Every partner of a fertile root passes the barren test by
-    construction; one that fails it is a fault in the root, not a chain to
-    prune."""
-    fertile = CENSUS_MODULE._fertile_partners
-    injected = []
+    """Each partner x found for the chain (y, s1) of a fertile root must
+    commute with y, which certifies that C(s1, x) holds an element of s1's
+    cycle type; a search that returns one that does not is a fault in the
+    root, not a chain to keep."""
+    partners, fertile = CENSUS_MODULE.braid_partners, CENSUS_MODULE._fertile_partners
+    rooting, injected = [], []
 
-    def with_a_barren_one(s1, root, parts):
-        found = fertile(s1, root, parts)
-        if not injected:
-            for s2 in braid_partners((s1,)):
-                if not holds_cycle_type(tuple_centralizer((s1, s2)), parts):
-                    injected.append(s2)
-                    found.add(s2)
-                    break
+    def with_a_barren_one(chain, symmetry=None):
+        found = partners(chain, symmetry=symmetry)
+        if rooting and not injected:
+            y, s1 = chain
+            for x in partners((s1,)):
+                if x * y != y * x:
+                    injected.append(x)
+                    return sorted(found + [x])
         return found
 
-    monkeypatch.setattr(CENSUS_MODULE, "_fertile_partners", with_a_barren_one)
+    def rooted(s1, root, parts):
+        rooting.append(s1)
+        try:
+            return fertile(s1, root, parts)
+        finally:
+            rooting.pop()
+
+    monkeypatch.setattr(CENSUS_MODULE, "braid_partners", with_a_barren_one)
+    monkeypatch.setattr(CENSUS_MODULE, "_fertile_partners", rooted)
     with pytest.raises(RuntimeError, match="fertile root is barren"):
         census(6, 8)
     assert injected

@@ -141,10 +141,10 @@ def test_census_8_14_output_is_pinned_within_two_seconds():
     ids=["census_9_12", "census_7_12"],
 )
 def test_census_at_twelve_points_output_is_pinned(k, classes, digest):
-    """Censuses whose chains are mostly barren, so that most partner
+    """Censuses whose roots hold few fertile orbits, so that most partner
     searches are skipped; the digests were recorded while every chain was
-    searched.  Run in one process, census(7, 12) expands chains of five
-    images that census(9, 12) left barren."""
+    searched.  Run in one process, census(7, 12) reads the fertile roots
+    and the deeper nodes that census(9, 12) built."""
     rc, out = _run(["census", str(k), "12"])
     assert rc == 0
     assert len(json.loads(out)["classes"]) == classes

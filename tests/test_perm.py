@@ -25,7 +25,6 @@ from braidcensus.perm import (
     centralizer_generators,
     conjugation_orbits,
     cycle_type_classes,
-    holds_cycle_type,
     least_conjugate,
     r_component,
     relator_solutions,
@@ -226,33 +225,6 @@ def test_tuple_centralizer_matches_brute_force():
                         for p in perms
                         for i, x in enumerate(first)
                     ), perms
-
-
-def test_holds_cycle_type_matches_brute_force():
-    """The cycle types of C(G) read off its classes are exactly those of the
-    elements of C(G) found by scanning S(n), fixed points included, for
-    the tuples of ``test_tuple_centralizer_matches_brute_force``."""
-    rng = random.Random(17)
-    held = 0
-    for n in range(1, 8):
-        sym = oracles.all_permutations(n)
-        for trial in range(30):
-            if trial % 3:
-                perms = _copied_tuple(rng, n)
-            else:
-                perms = tuple(rng.choice(sym) for _ in range(rng.randint(1, 3)))
-            cent = tuple_centralizer(perms)
-            types = {
-                tuple(sorted(map(len, x.cycles(include_fixed=True)), reverse=True))
-                for x in _brute_centralizer(perms)
-            }
-            for parts in all_partitions(n):
-                assert holds_cycle_type(cent, parts) == (parts in types), (
-                    perms,
-                    parts,
-                )
-                held += parts in types
-    assert 500 < held < 1000
 
 
 def _cycle_type(x):
