@@ -8,11 +8,15 @@ are checked on construction.  The census enumerates all homomorphisms
 into S(n) up to conjugacy by staging: the chains c_1..c_{k-3} are the
 leaf chains of the braid-group census tree, one per class; two of the
 relations force v = c_2^-1 u c_2 and w = u c_1 u^-1, which turns the
-others into relators in u and the chain, and ``perm.relator_solutions``
-finds every u-image that satisfies them; the words are built once per
-chain length, with the chain as the images of their letters, so that
-equal chain images cancel as one letter.  The u-images of a chain are
-split into orbits under the chain's centralizer, which the leaf carries.
+others into relators in u and the chain.  The relations of k strands
+hold those of k - 1, and the two that c_i adds involve only u, v and c_i,
+so ``perm.relator_solutions`` searches once per prefix (c_1, c_2), with
+the relators of B'_5 and the prefix as the images of their letters (equal
+images cancel as one letter), and each longer chain keeps the u of its
+prefix's set that pass the two relations of each later c_i.  The sets of
+the last point count are kept, so censuses of several k at one n share
+them.  The u-images of a chain are split into orbits under the chain's
+centralizer, which the leaf carries.
 The group is perfect for k >= 5, so every image lies in A_n and only the
 chains with an even c_1 are walked.
 """
@@ -224,20 +228,61 @@ def _u_relator_words(m):
     )
 
 
+# The u-images of each chain prefix (c_1, c_2) of the last point count n, as
+# {n: {(c_1, c_2): sorted u-images}}: the solutions of the B'_5 system,
+# ``_u_relator_words(2)``, which every longer chain through the prefix
+# filters.  A commutator census at another n drops them, as ``chain_leaves``
+# drops the tree.
+_U_SETS = {}
+
+
+def _u_images(chain):
+    """Every u-image of a leaf chain of two or more images, in increasing
+    order, as (u, v, w) with v and w of ``_vw_words``.
+
+    ``_relations(k)`` holds ``_relations(k - 1)``, and the two relations
+    that c_i adds involve only u, v = c_2^-1 u c_2 and c_i.  So the u-images
+    of the chain are those of its prefix (c_1, c_2), searched once per n,
+    that pass those two for each later c_i; a c_i equal to an earlier one
+    of c_2..c_{i-1} adds the same two again and is skipped."""
+    n, m = chain[0].degree, len(chain)
+    if n not in _U_SETS:
+        _U_SETS.clear()
+        _U_SETS[n] = {}
+    sets = _U_SETS[n]
+    prefix = chain[:2]
+    us = sets.get(prefix)
+    if us is None:
+        us = sets[prefix] = relator_solutions(n, _u_relator_words(2), prefix)
+    first = {}
+    for i, ci in enumerate(chain[1:], 2):
+        first.setdefault(ci, i)
+    rels = _relations(m + 3)
+    checks = [r for i in first.values() if i > 2 for r in rels[2 * i : 2 * i + 2]]
+    vw = _vw_words(m)
+    out = []
+    for u in us:
+        images = (u, *(perm_image(x, chain + (u,)) for x in vw)) + chain
+        if all(perm_image(a, images) == perm_image(b, images) for _, a, b in checks):
+            out.append(images[:3])
+    return out
+
+
 def commutator_census(k, n):
     """All homomorphisms of the commutator subgroup into S(n), one per
     conjugacy class, for 5 <= k <= ``census.MAX_STRANDS`` and
     1 <= n <= ``census.MAX_POINTS``, sorted by (c_1, ..., c_{k-3}, u).
 
     The chains c_1..c_{k-3} are the leaves of ``census.chain_leaves`` for
-    k-2 strands; the u-relator words are built once and put on each chain.
-    B'_k is perfect, so its image lies in A_n: only the even cycle types
-    of c_1 are walked, and a u-image that passes the relations but is odd
-    is an error.  Building its ``CommutatorHom`` validates each u-image
-    against every relation, and the least u of each orbit of the chain's
-    centralizer is kept.  A leaf chain is the least member of its orbit under
-    the centralizer of c_1, so each class is printed by the least member of
-    its orbit of (c_2, ..., c_{k-3}, u) under that centralizer.
+    k-2 strands, and ``_u_images`` gives the u-images of each: one relator
+    search per prefix (c_1, c_2), filtered by the later c_i.  B'_k is
+    perfect, so its image lies in A_n: only the even cycle types of c_1 are
+    walked, and a u-image that passes the relations but is odd is an error.
+    Building its ``CommutatorHom`` validates each u-image against every
+    relation, and the least u of each orbit of the chain's centralizer is
+    kept.  A leaf chain is the least member of its orbit under the
+    centralizer of c_1, so each class is printed by the least member of its
+    orbit of (c_2, ..., c_{k-3}, u) under that centralizer.
     """
     if not 5 <= k <= MAX_STRANDS:
         raise ValueError("k must be in 5..%d" % MAX_STRANDS)
@@ -252,12 +297,10 @@ def commutator_census(k, n):
             # even, and so is the rest of the chain, all conjugate to c_1.
             continue
         for chain, _, cent in chain_leaves(k - 2, n, parts):
-            us = relator_solutions(n, _u_relator_words(len(chain)), chain)
             homs = {}
-            for u in us:
-                vw = (perm_image(x, chain + (u,)) for x in _vw_words(len(chain)))
+            for u, v, w in _u_images(chain):
                 try:
-                    homs[u] = CommutatorHom(k, n, u, *vw, chain)
+                    homs[u] = CommutatorHom(k, n, u, v, w, chain)
                 except ValueError:
                     raise RuntimeError("relator search found an invalid u-image")
                 if not u.is_even():
@@ -265,6 +308,7 @@ def commutator_census(k, n):
                         "odd u-image, but B'_k is perfect, so every image "
                         "lies in A_n: the relations present another group"
                     )
+            us = list(homs)
             if len(us) > 1:
                 # C(chain) fixes a lone u-image, so it needs no generators.
                 gens = centralizer_generators(cent)

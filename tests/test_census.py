@@ -273,16 +273,6 @@ def test_partner_relators_are_the_artin_relations_of_the_next_generator():
         assert set(relators) == by_hand
 
 
-@pytest.fixture
-def fresh_tree():
-    """An empty chain-tree memo before and after the test: no node expanded
-    before it hides the search from the test, and no node expanded under a
-    monkeypatched search outlives it."""
-    CENSUS_MODULE._TREES.clear()
-    yield CENSUS_MODULE._TREES
-    CENSUS_MODULE._TREES.clear()
-
-
 def test_a_lost_chain_breaks_the_orbit_count(fresh_tree, monkeypatch):
     """Past sigma_2 the centralizer of the prefix maps the partners onto
     themselves, so a partner search that drops a partner leaves the
@@ -374,7 +364,7 @@ def test_census_6_9_makes_fewer_than_155_partner_searches(fresh_tree, monkeypatc
     assert 0 < len(searched) < 310 / 2
 
 
-def test_a_census_at_another_point_count_drops_the_verdicts(fresh_tree):
+def test_a_census_at_another_point_count_drops_roots_with_both_orbit_sets(fresh_tree):
     """The tree holds no verdicts, only partner orbits, and the whole tree
     belongs to its point count: after census(6, 8) and census(4, 8) have
     left roots with both orbit sets, census(3, 9) keeps no chain on 8
@@ -426,7 +416,7 @@ def _roots(tree):
     return [entry for chain, entry in tree.items() if len(chain) == 1]
 
 
-def test_a_full_root_replaces_a_fertile_one_for_fewer_strands(fresh_tree):
+def test_a_full_root_is_kept_beside_a_fertile_one_for_fewer_strands(fresh_tree):
     """A full root no longer replaces a fertile one: census(6, 9) builds
     fertile roots only, census(3, 9) and census(4, 9) need every chain of
     two images, so they build full roots beside them, and a census(7, 9)

@@ -10,8 +10,10 @@ import oracles
 from braidcensus.census import MAX_POINTS, MAX_STRANDS, census, chain_leaves
 from braidcensus.commutator import (
     CommutatorHom,
+    _U_SETS,
     _relations,
     _relations_report,
+    _u_images,
     _u_relator_words,
     commutator_census,
     exceptional_commutator_hom_six,
@@ -203,7 +205,50 @@ def test_u_search_finds_exactly_the_u_images_that_pass_the_relations(k, n):
         assert relator_solutions(n, _u_relator_words(len(c)), c) == expected
 
 
-def test_an_invalid_u_image_from_the_search_is_an_error(monkeypatch):
+@pytest.mark.parametrize("k", [6, 7, 8])
+def test_filtered_u_images_match_a_search_on_the_whole_chain(k):
+    """The census searches each prefix (c_1, c_2) once, with the B'_5
+    relators, and filters that set by the relations of the later c_i; on
+    every leaf chain with an even c_1, n <= 8, that gives exactly the
+    u-images that a search with all of the chain's relators finds."""
+    checked = 0
+    for n in range(1, 9):
+        for parts in all_partitions(n):
+            if sum(p - 1 for p in parts) % 2:
+                continue
+            for chain, _, _ in chain_leaves(k - 2, n, parts):
+                expected = relator_solutions(n, _u_relator_words(len(chain)), chain)
+                assert [u for u, _, _ in _u_images(chain)] == expected, chain
+                checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("order", [(6, 5), (5, 6)])
+def test_censuses_at_one_point_count_share_the_u_searches(
+    fresh_tree, monkeypatch, order
+):
+    """commutator_census(6, 6) and (5, 6) search u once per prefix
+    (c_1, c_2): 14 searches in either order, where a search per leaf chain
+    made 32.  Each census equals its run on empty memos."""
+    module = sys.modules["braidcensus.commutator"]
+    solutions = module.relator_solutions
+    searched = []
+
+    def spy(n, relators, images=()):
+        searched.append(images)
+        return solutions(n, relators, images)
+
+    monkeypatch.setattr(module, "relator_solutions", spy)
+    shared = {k: commutator_census(k, 6) for k in order}
+    assert len(searched) == 14
+    assert len(set(searched)) == 14
+    for k in order:
+        fresh_tree.clear()
+        _U_SETS.clear()
+        assert shared[k] == commutator_census(k, 6)
+
+
+def test_an_invalid_u_image_from_the_search_is_an_error(fresh_tree, monkeypatch):
     """Every u the relator search returns is checked against the defining
     relations; one that is not a solution stops the census."""
     module = sys.modules["braidcensus.commutator"]
@@ -219,7 +264,9 @@ def test_an_invalid_u_image_from_the_search_is_an_error(monkeypatch):
         commutator_census(5, 5)
 
 
-def test_an_orbit_representative_that_is_no_u_image_is_an_error(monkeypatch):
+def test_an_orbit_representative_that_is_no_u_image_is_an_error(
+    fresh_tree, monkeypatch
+):
     """C(chain) maps the u-images of a chain onto themselves, so the least
     member of each orbit is a u-image; a split that returns anything else
     stops the census."""
@@ -261,7 +308,7 @@ def test_chains_with_an_odd_c1_have_no_u_image(k):
     assert checked > 0
 
 
-def test_an_odd_u_image_is_an_error(monkeypatch):
+def test_an_odd_u_image_is_an_error(fresh_tree, monkeypatch):
     """A relation table that no longer presents a perfect group lets odd
     u-images through, and then the odd c_1 the census skips could count
     too; the first odd u-image stops the census."""
