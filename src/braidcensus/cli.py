@@ -1,18 +1,28 @@
 """Command-line interface: censuses, cohomology tables, retraction checks,
 homomorphism inspection, and self-verification suites.
 
+Every command is a fresh interpreter, so the command line is read without
+argparse, whose import and parser cost each command milliseconds: one
+table, ``_COMMANDS``, gives each command's function, positionals and
+options, ``_parse`` reads argv against it as the argparse parser it
+replaced did, and the same table prints ``--help``.
+
 All output is deterministic JSON (sorted keys, fixed indentation) so runs
-can be diffed and committed as golden files.  Bad input is reported as one
-line on stderr with exit status 2.
+can be diffed and committed as golden files; ``_dumps`` writes the text of
+``json.dumps(payload, sort_keys=True, indent=2)`` without json's
+pure-Python encoder.  Bad input is reported as one line on stderr with exit
+status 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
+import re
 import sys
+import types
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__, cohomology, commutator, homs
 from . import retraction, words
@@ -27,31 +37,50 @@ class InputError(Exception):
     """Input the command cannot use: reported in one line, exit status 2."""
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        # One line without the usage block, like an InputError report.
-        self.exit(2, "%s: error: %s\n" % (self.prog, " ".join(message.split())))
+def _bounded(low, high=None):
+    """A converter: the ``int()`` of a text, no smaller than low, nor larger
+    than high if it is given."""
 
-
-def _at_least(low, high=None):
-    """An argparse type: an integer no smaller than low, nor larger than
-    high if it is given."""
-
-    def integer(text):
+    def convert(text):
         value = int(text)
         if value < low:
-            raise argparse.ArgumentTypeError("must be >= %d, got %d" % (low, value))
+            raise ValueError("must be >= %d, got %d" % (low, value))
         if high is not None and value > high:
-            raise argparse.ArgumentTypeError("must be <= %d, got %d" % (high, value))
+            raise ValueError("must be <= %d, got %d" % (high, value))
         return value
 
-    return integer
+    return convert
+
+
+def _dumps(value, indent="\n"):
+    """The text of ``json.dumps(value, sort_keys=True, indent=2)`` for the
+    str-keyed payloads of the commands, without json's pure-Python
+    indenting encoder: strings go through json's own escaper, as
+    ``json.dumps`` sends them, an int is written as json writes it, and
+    every other scalar goes through ``json.dumps``."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [inner + _quote(k) + ": " + _dumps(value[k], inner) for k in sorted(value)]
+        return "{%s%s}" % (",".join(items), indent)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(v) is int for v in value):
+            return "[%s%s%s]" % (inner, ("," + inner).join(map(str, value)), indent)
+        return "[%s%s]" % (",".join([inner + _dumps(v, inner) for v in value]), indent)
+    if type(value) is str:
+        return _quote(value)
+    if type(value) is int:
+        return str(value)
+    return json.dumps(value)
 
 
 def _emit(payload):
     payload = dict(payload)
     payload["schema"] = SCHEMA
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_dumps(payload) + "\n")
 
 
 def _cmd_census(args):
@@ -312,75 +341,248 @@ def _cmd_verify(args):
     return 0 if ok else 1
 
 
-@functools.cache
-def build_parser():
-    """The command-line parser, built on the first call and shared by every
-    later one: parsing leaves no state in it."""
-    parser = _Parser(
-        prog="braidcensus",
-        description="Censuses and invariants of braid-group homomorphisms "
-        "into symmetric groups.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command: its function, its help, its positionals as (name, converter,
+# help) and its options as (flag, converter, default, help).  An option's
+# destination is its flag without the dashes, and an option without a
+# converter is a switch that stores True.  A converter is a function of the
+# text that raises ValueError, or a tuple of the texts it accepts.
+_COMMANDS = {
+    "census": (
+        _cmd_census,
+        "enumerate homomorphism classes",
+        (
+            ("k", _bounded(3, MAX_STRANDS), "number of strands"),
+            ("n", _bounded(1, MAX_POINTS), "number of points"),
+        ),
+        (
+            ("--workers", _bounded(1), 1, "processes, at most the CPU count"),
+            ("--transitive", None, False, "keep the transitive classes only"),
+            ("--noncyclic", None, False, "keep the non-cyclic classes only"),
+        ),
+    ),
+    "census-bprime": (
+        _cmd_census_commutator,
+        "enumerate commutator-subgroup classes",
+        (
+            ("k", _bounded(5, MAX_STRANDS), "number of strands, 5..%d" % MAX_STRANDS),
+            ("n", _bounded(1, MAX_POINTS), "number of points"),
+        ),
+        (),
+    ),
+    "cohomology": (
+        _cmd_cohomology,
+        "first cohomology of a block base",
+        (
+            ("base", ("standard", "exceptional6", "fivesix", "cyclic"), "the base"),
+            ("n", _bounded(1), "points of the base (cycle length for cyclic)"),
+            ("r", _bounded(0), "coefficient modulus (0 for integers)"),
+        ),
+        (),
+    ),
+    "retract": (
+        _cmd_retract,
+        "retract a homomorphism onto cycle labels",
+        (
+            ("hom", str, "path to a homomorphism JSON file, or -"),
+            ("r", _bounded(2), "cycle length"),
+        ),
+        (),
+    ),
+    "hom": (
+        _cmd_hom,
+        "inspect a homomorphism, optionally on a word",
+        (("hom", str, "path to a homomorphism JSON file, or -"),),
+        (("--word", str, None, "JSON list of signed generator indices"),),
+    ),
+    "verify": (
+        _cmd_verify,
+        "run a self-check suite",
+        (("suite", tuple(sorted(_SUITES)) + ("all",), "the suite"),),
+        (),
+    ),
+}
 
-    p = sub.add_parser("census", help="enumerate homomorphism classes")
-    p.add_argument("k", type=_at_least(3, MAX_STRANDS), help="number of strands")
-    p.add_argument("n", type=_at_least(1, MAX_POINTS), help="number of points")
-    p.add_argument(
-        "--workers",
-        type=_at_least(1),
-        default=1,
-        help="processes, at most the CPU count",
-    )
-    p.add_argument("--transitive", action="store_true")
-    p.add_argument("--noncyclic", action="store_true")
-    p.set_defaults(func=_cmd_census)
+_HELP = ("--help", None, False, "show this help and exit")
+_VERSION = ("--version", None, False, "print the version and exit")
 
-    p = sub.add_parser(
-        "census-bprime", help="enumerate commutator-subgroup classes"
-    )
-    p.add_argument("k", type=_at_least(5, MAX_STRANDS), help="5..%d" % MAX_STRANDS)
-    p.add_argument("n", type=_at_least(1, MAX_POINTS), help="number of points")
-    p.set_defaults(func=_cmd_census_commutator)
 
-    p = sub.add_parser("cohomology", help="first cohomology of a block base")
-    p.add_argument(
-        "base", choices=("standard", "exceptional6", "fivesix", "cyclic")
-    )
-    p.add_argument(
-        "n",
-        type=_at_least(1),
-        help="points of the base (cycle length for cyclic)",
-    )
-    p.add_argument(
-        "r", type=_at_least(0), help="coefficient modulus (0 for integers)"
-    )
-    p.set_defaults(func=_cmd_cohomology)
+def _option(token, options):
+    """How argparse read a token other than ``--``: None for a value,
+    (option, its value after ``=``, or None) for one of options, or
+    (None, None) for an option that is not there.  A long option may be cut
+    to a prefix that it alone starts with; ``-h`` takes the rest of its
+    token as its value, and ``-hh`` is ``-h`` twice; ``-``, a negative number
+    and a text with a space that names no option are values."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token[1] != "-":
+        if token[:2] == "-h":
+            value = token[3:] if token[2:3] == "=" else token[2:] or None
+            return _HELP, None if value and not value.strip("h") else value
+        found = []
+    else:
+        name, eq, value = token.partition("=")
+        value = value if eq else None
+        found = [o for o in options if o[0] == name]
+        found = found or [o for o in options if o[0].startswith(name)]
+    if len(found) > 1:
+        raise InputError(
+            "ambiguous option: %s could match %s"
+            % (token, ", ".join(o[0] for o in found))
+        )
+    if found:
+        return found[0], value
+    if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token:
+        return None
+    return None, None
 
-    p = sub.add_parser("retract", help="retract a homomorphism onto cycle labels")
-    p.add_argument("hom", help="path to a homomorphism JSON file, or -")
-    p.add_argument("r", type=_at_least(2), help="cycle length")
-    p.set_defaults(func=_cmd_retract)
 
-    p = sub.add_parser("hom", help="inspect a homomorphism, optionally on a word")
-    p.add_argument("hom", help="path to a homomorphism JSON file, or -")
-    p.add_argument("--word", help="JSON list of signed generator indices")
-    p.set_defaults(func=_cmd_hom)
+def _usage(command):
+    """The help text of a command, or of the command line for None."""
+    if command is None:
+        head = "[-h] [--version] COMMAND ..."
+        about = (
+            "Censuses and invariants of braid-group homomorphisms into "
+            "symmetric groups."
+        )
+        rows = [(name, spec[1]) for name, spec in _COMMANDS.items()]
+        options = (_VERSION,)
+    else:
+        _, about, positionals, options = _COMMANDS[command]
+        head = "%s [options] %s" % (command, " ".join(p[0] for p in positionals))
+        rows = [
+            (name, text + ": " + ", ".join(convert))
+            if isinstance(convert, tuple)
+            else (name, text)
+            for name, convert, text in positionals
+        ]
+    rows += [
+        (flag if convert is None else flag + " " + flag[2:].upper(), text)
+        for flag, convert, _, text in options
+    ]
+    rows.append(("-h, --help", _HELP[3]))
+    width = max(len(left) for left, _ in rows)
+    return "usage: braidcensus %s\n\n%s\n\n%s\n" % (
+        head,
+        about,
+        "\n".join("  %-*s  %s" % (width, left, text) for left, text in rows),
+    )
 
-    p = sub.add_parser("verify", help="run a self-check suite")
-    p.add_argument("suite", choices=sorted(_SUITES) + ["all"])
-    p.set_defaults(func=_cmd_verify)
-    return parser
+
+def _convert(name, convert, text):
+    """The value of one argument, or an InputError naming it."""
+    try:
+        if not isinstance(convert, tuple):
+            return convert(text)
+        if text in convert:
+            return text
+        raise ValueError("invalid choice %r (choose from %s)" % (text, ", ".join(convert)))
+    except ValueError as exc:
+        raise InputError("argument %s: %s" % (name, exc))
+
+
+def _no_value(flag, value):
+    if value is not None:
+        raise InputError("argument %s: ignored explicit argument %r" % (flag, value))
+
+
+def _readings(tokens, options):
+    """``_option`` of each token, as argparse read them all before it acted
+    on any: the first ``--`` reads as itself and every token after it as a
+    value (None)."""
+    if "--" not in tokens:
+        return [_option(token, options) for token in tokens]
+    cut = tokens.index("--")
+    readings = [_option(token, options) for token in tokens[:cut]]
+    return readings + ["--"] + [None] * (len(tokens) - cut - 1)
+
+
+def _parse(argv):
+    """The namespace of a command line, read against ``_COMMANDS`` as the
+    argparse parser of earlier versions read it.  Before the command come
+    only ``-h``, ``--help`` and ``--version``; the command's options may go
+    before, between or after its positionals, as ``--opt value`` or
+    ``--opt=value``, and the last of a repeated option wins; every text
+    after ``--`` is a positional.  Help and the version are printed to
+    stdout with exit status 0; bad input raises InputError."""
+    argv = list(argv)
+    unknown = []
+    for i, reading in enumerate(_readings(argv, (_HELP, _VERSION))):
+        if reading is None or reading == "--":
+            break
+        spec, value = reading
+        if spec is None:
+            unknown.append(argv[i])
+            continue
+        _no_value(spec[0], value)
+        sys.stdout.write(_usage(None) if spec is _HELP else __version__ + "\n")
+        sys.exit(0)
+    else:
+        raise InputError("the following arguments are required: command")
+    command = argv[i]
+    if command not in _COMMANDS:
+        raise InputError(
+            "argument command: invalid choice %r (choose from %s)"
+            % (command, ", ".join(_COMMANDS))
+        )
+    func, _, positionals, options = _COMMANDS[command]
+    args = {"command": command, "func": func}
+    args.update((flag[2:], default) for flag, _, default, _ in options)
+    options += (_HELP,)
+    tokens = argv[i + 1:]
+    readings = _readings(tokens, options)
+    count = j = 0
+    while j < len(tokens):
+        token, reading = tokens[j], readings[j]
+        j += 1
+        if reading == "--":
+            continue
+        if reading is None:
+            if count < len(positionals):
+                name, convert, _ = positionals[count]
+                args[name] = _convert(name, convert, token)
+            else:
+                unknown.append(token)
+            count += 1
+            continue
+        spec, value = reading
+        if spec is None:
+            unknown.append(token)
+            continue
+        flag, convert = spec[:2]
+        if convert is None:
+            _no_value(flag, value)
+            if spec is _HELP:
+                sys.stdout.write(_usage(command))
+                sys.exit(0)
+            value = True
+        else:
+            if value is None:
+                if j == len(tokens) or readings[j] is not None:
+                    raise InputError("argument %s: expected one argument" % flag)
+                value = tokens[j]
+                j += 1
+            value = _convert(flag, convert, value)
+        args[flag[2:]] = value
+    if count < len(positionals):
+        raise InputError(
+            "the following arguments are required: %s"
+            % ", ".join(p[0] for p in positionals[count:])
+        )
+    if unknown:
+        raise InputError("unrecognized arguments: %s" % " ".join(unknown))
+    return types.SimpleNamespace(**args)
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line and return its exit status.  Bad input is
+    reported in one line on stderr and exits with status 2."""
     try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
         return args.func(args) or 0
     except InputError as exc:
-        parser.error(str(exc))
+        sys.stderr.write("braidcensus: error: %s\n" % " ".join(str(exc).split()))
+        sys.exit(2)
 
 
 if __name__ == "__main__":

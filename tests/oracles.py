@@ -3,9 +3,11 @@
 Each function here answers by brute force, over every candidate, a question
 the package answers by search or by linear algebra, or builds a map the
 tests feed to the census.  They are meant for tiny inputs only, and nothing
-in ``src`` imports them.
+in ``src`` imports them.  ``build_parser`` is the argparse command line that
+``cli._parse`` replaced, kept as the reference it is compared against.
 """
 
+import argparse
 import fractions
 import functools
 import itertools
@@ -16,7 +18,8 @@ from braidcensus.cohomology import (
     hom_from_cocycle,
     smith_normal_form,
 )
-from braidcensus.census import braid_partners
+from braidcensus import __version__, cli
+from braidcensus.census import MAX_POINTS, MAX_STRANDS, braid_partners
 from braidcensus.homs import (
     BraidHom,
     are_conjugate,
@@ -395,3 +398,89 @@ def cohomologous(omega, r, z1, z2):
         tuple((a - b) % r for a, b in zip(v1, v2)) for v1, v2 in zip(z1, z2)
     ]
     return diff in all_coboundaries(omega, r)
+
+
+# The command line.
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # One line without the usage block, like an InputError report.
+        self.exit(2, "%s: error: %s\n" % (self.prog, " ".join(message.split())))
+
+
+def _at_least(low, high=None):
+    """An argparse type: an integer no smaller than low, nor larger than
+    high if it is given."""
+
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be >= %d, got %d" % (low, value))
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError("must be <= %d, got %d" % (high, value))
+        return value
+
+    return integer
+
+
+def build_parser():
+    """The argparse parser of the command line, as the package built it
+    before ``cli._parse`` read argv from ``cli._COMMANDS``; each command's
+    ``func`` is the package's own."""
+    parser = _Parser(
+        prog="braidcensus",
+        description="Censuses and invariants of braid-group homomorphisms "
+        "into symmetric groups.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("census", help="enumerate homomorphism classes")
+    p.add_argument("k", type=_at_least(3, MAX_STRANDS), help="number of strands")
+    p.add_argument("n", type=_at_least(1, MAX_POINTS), help="number of points")
+    p.add_argument(
+        "--workers",
+        type=_at_least(1),
+        default=1,
+        help="processes, at most the CPU count",
+    )
+    p.add_argument("--transitive", action="store_true")
+    p.add_argument("--noncyclic", action="store_true")
+    p.set_defaults(func=cli._cmd_census)
+
+    p = sub.add_parser(
+        "census-bprime", help="enumerate commutator-subgroup classes"
+    )
+    p.add_argument("k", type=_at_least(5, MAX_STRANDS), help="5..%d" % MAX_STRANDS)
+    p.add_argument("n", type=_at_least(1, MAX_POINTS), help="number of points")
+    p.set_defaults(func=cli._cmd_census_commutator)
+
+    p = sub.add_parser("cohomology", help="first cohomology of a block base")
+    p.add_argument(
+        "base", choices=("standard", "exceptional6", "fivesix", "cyclic")
+    )
+    p.add_argument(
+        "n",
+        type=_at_least(1),
+        help="points of the base (cycle length for cyclic)",
+    )
+    p.add_argument(
+        "r", type=_at_least(0), help="coefficient modulus (0 for integers)"
+    )
+    p.set_defaults(func=cli._cmd_cohomology)
+
+    p = sub.add_parser("retract", help="retract a homomorphism onto cycle labels")
+    p.add_argument("hom", help="path to a homomorphism JSON file, or -")
+    p.add_argument("r", type=_at_least(2), help="cycle length")
+    p.set_defaults(func=cli._cmd_retract)
+
+    p = sub.add_parser("hom", help="inspect a homomorphism, optionally on a word")
+    p.add_argument("hom", help="path to a homomorphism JSON file, or -")
+    p.add_argument("--word", help="JSON list of signed generator indices")
+    p.set_defaults(func=cli._cmd_hom)
+
+    p = sub.add_parser("verify", help="run a self-check suite")
+    p.add_argument("suite", choices=sorted(cli._SUITES) + ["all"])
+    p.set_defaults(func=cli._cmd_verify)
+    return parser

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import multiprocessing
 import os
@@ -13,8 +14,11 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import braidcensus
+import oracles
 from braidcensus import cli
 from braidcensus.census import MAX_POINTS, MAX_STRANDS
 from braidcensus.homs import five_strand_six_points, standard_hom
@@ -220,7 +224,6 @@ def test_the_package_runs_as_a_module():
 
 def test_one_parser_serves_consecutive_commands(capsys):
     """Flags and defaults of one command do not leak into the next."""
-    cli.build_parser.cache_clear()
     rc, out = _run(["census", "3", "5", "--transitive", "--noncyclic"])
     assert rc == 0
     assert out == (GOLDEN / "census_3_5_transitive_noncyclic.json").read_text()
@@ -234,8 +237,6 @@ def test_one_parser_serves_consecutive_commands(capsys):
     rc, out = _run(["cohomology", "standard", "5", "3"])
     assert rc == 0
     assert out == (GOLDEN / "cohomology_standard_5_3.json").read_text()
-    info = cli.build_parser.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
 
 
 MODULI = ("0", "2", "3", "4", "5", "6", "8", "12")
@@ -468,3 +469,180 @@ def test_the_readme_command_line_examples_run(tmp_path, monkeypatch):
         rc, out = _run(shlex.split(line)[1:])
         assert rc == 0, line
         assert json.loads(out)["command"] == shlex.split(line)[1]
+
+
+# Every text a positional of each command is tried with, beside its valid one.
+_TEXTS = [
+    "0", "1", "2", "5", "-1", "-3", "+4", " 4 ", "4_0", "x", "1.5", "-1.5", "",
+    "-", "- x", "-x", "-1x", "99999999999999999999", "٣", "standard",
+    "Standard", "stand", "cyclic", "fivesix", "all", "al", "artin", "--",
+] + [str(bound + d) for bound in (MAX_POINTS, MAX_STRANDS) for d in (0, 1)]
+# Per command: valid positionals, and option groups that each of its argvs
+# may carry among them.
+_VALID = {
+    "census": (
+        ["3", "5"],
+        [
+            ["--workers", "2"], ["--workers=2"], ["--work", "3"], ["--w=0"],
+            ["--workers", "-1"], ["--workers", "x"], ["--workers"],
+            ["--workers="], ["--workers", "--transitive"], ["--workers", "-"],
+            ["--workers", "99999999999999999999"], ["--transitive"],
+            ["--trans"], ["--t"], ["--transitive=1"], ["--noncyclic"],
+            ["--non="], ["--noncyclic", "--workers", "3"],
+        ],
+    ),
+    "census-bprime": (["5", "6"], []),
+    "cohomology": (["cyclic", "4", "2"], []),
+    "retract": (["g.json", "2"], []),
+    "hom": (
+        ["g.json"],
+        [
+            ["--word", "[1, 2]"], ["--word=[1]"], ["--wo", "[1]"], ["--w", "2"],
+            ["--word", ""], ["--word="], ["--word", "-1"], ["--word", "-"],
+            ["--word", "- 1"], ["--word"], ["--word", "--foo"],
+            ["--word", "-x"], ["--word=--foo"], ["--word", "--"],
+        ],
+    ),
+    "verify": (["special"], []),
+}
+# Option groups that every command refuses, and separators.
+_FOREIGN = [
+    ["--foo"], ["--foo=1"], ["-x"], ["-1x"], ["---w"], ["--version"],
+    ["--=x"], ["--"], ["--", "--"], ["--", "-x"], ["--", "--word"],
+]
+_TOP = [
+    [], ["frobnicate"], ["cens", "3", "5"], ["CENSUS", "3", "5"], ["-1"], [""],
+    ["-"], ["--"], ["--", "census", "3", "5"], ["--foo", "census", "3", "5"],
+    ["-x", "verify", "all"], ["--=x", "verify", "all"], ["--version=1"],
+    ["--help=x"],
+]
+
+
+def _parser_argvs():
+    """Some hundreds of argvs, none asking for help or the version: each
+    command with each positional replaced by each text of ``_TEXTS``, one
+    short and one long, and its valid positionals with one option group at
+    every place, or two at either end."""
+    argvs = list(_TOP)
+    for command, (valid, groups) in _VALID.items():
+        m = len(valid)
+        argvs += [[command] + valid[:i] for i in range(m + 1)]
+        argvs.append([command] + valid + ["7"])
+        for i, text in itertools.product(range(m), _TEXTS):
+            argvs.append([command] + valid[:i] + [text] + valid[i + 1:])
+        for group, i in itertools.product(groups + _FOREIGN, range(m + 1)):
+            argvs.append([command] + valid[:i] + group + valid[i:])
+        for first, last in itertools.product(groups[:8], repeat=2):
+            argvs.append([command] + first + valid + last)
+            argvs.append([command] + valid[:1] + first + valid[1:] + last)
+    return argvs
+
+
+def _reference_reading(parser, argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+def _table_reading(argv):
+    try:
+        return vars(cli._parse(argv))
+    except cli.InputError:
+        return 2
+
+
+def test_the_table_reads_argv_as_the_argparse_parser_did(capsys):
+    """Every argv of ``_parser_argvs`` gets the same command and the same
+    value at every destination from ``cli._parse`` as from the argparse
+    parser it replaced, or both refuse it; a refused one exits 2 through
+    ``cli.main`` with one ``error:`` line on stderr and nothing on stdout."""
+    parser = oracles.build_parser()
+    argvs = _parser_argvs()
+    accepted = 0
+    for argv in argvs:
+        expected = _reference_reading(parser, argv)
+        assert _table_reading(argv) == expected, argv
+        if expected != 2:
+            accepted += 1
+            continue
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "error:" in lines[0], argv
+    assert len(argvs) > 800
+    assert 300 < accepted < len(argvs) - 500
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["-h"], ["--he"]] + [[c, "--help"] for c in cli._COMMANDS],
+    ids=lambda argv: " ".join(argv),
+)
+def test_help_exits_0_and_names_every_command_and_argument(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("usage: braidcensus ")
+    if argv[0] in cli._COMMANDS:
+        _, _, positionals, options = cli._COMMANDS[argv[0]]
+        names = [p[0] for p in positionals] + [o[0] for o in options]
+    else:
+        names = list(cli._COMMANDS) + ["--version"]
+    for name in names + ["--help"]:
+        assert name in captured.out
+
+
+def test_version_prints_the_package_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == braidcensus.__version__ + "\n"
+
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200).flatmap(
+        lambda v: st.sampled_from([v, -v])
+    )
+    | st.floats()
+    | st.text()
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.recursive(
+        _SCALARS | st.lists(st.integers()) | st.lists(st.integers() | st.booleans()),
+        lambda inner: st.lists(inner)
+        | st.lists(inner).map(tuple)
+        | st.dictionaries(st.text(), inner),
+        max_leaves=30,
+    )
+)
+def test_dumps_writes_the_text_of_json_dumps(value):
+    """Over str keys with any characters, escapes and non-ASCII text, empty
+    containers, lists of ints and of ints with bools, ints past 2^64 of
+    either sign, None, and floats with nan and the infinities."""
+    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_every_golden_output_re_emits_to_its_own_bytes():
+    outputs = [
+        path.read_text()
+        for path in sorted(GOLDEN.glob("*.json"))
+        if "command" in json.loads(path.read_text())
+    ]
+    assert len(outputs) == 8
+    for text in outputs:
+        assert cli._dumps(json.loads(text)) + "\n" == text

@@ -25,19 +25,29 @@ def test_runtime_invariants_are_real_exceptions():
 
 def test_the_command_line_loads_no_unused_module_at_start_up():
     """Every CLI command is a fresh interpreter that pays for each module
-    it imports: ``dataclasses`` (which brings ``inspect``) is not used, and
+    it imports: ``dataclasses`` (which brings ``inspect``) is not used,
     ``multiprocessing`` only under ``--workers`` > 1, where ``census``
-    imports it."""
+    imports it, and the command line is read without ``argparse`` (which
+    brings ``gettext`` and ``locale``).  Checked after the import and again
+    after a census in the same interpreter."""
     code = (
         "import sys; sys.path.insert(0, %r); import braidcensus.cli; "
-        "print(' '.join(sorted(sys.modules)))" % str(SRC.parent)
+        "sys.stderr.write(' '.join(sorted(sys.modules)) + '\\n'); "
+        "braidcensus.cli.main(['census', '3', '5']); "
+        "sys.stderr.write(' '.join(sorted(sys.modules)) + '\\n')" % str(SRC.parent)
     )
-    out = subprocess.run(
+    proc = subprocess.run(
         [sys.executable, "-I", "-S", "-B", "-c", code],
         capture_output=True, text=True, check=True,
-    ).stdout.split()
-    assert "braidcensus.cli" in out
-    assert {"dataclasses", "inspect", "multiprocessing"} & set(out) == set()
+    )
+    assert '"command": "census"' in proc.stdout
+    unused = {"dataclasses", "inspect", "multiprocessing", "argparse", "gettext", "locale"}
+    loaded = proc.stderr.splitlines()
+    assert len(loaded) == 2
+    for line in loaded:
+        out = line.split()
+        assert "braidcensus.cli" in out
+        assert unused & set(out) == set()
 
 
 def _names(path):
