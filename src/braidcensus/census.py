@@ -30,13 +30,13 @@ commutes with s_1, ..., s_i, so a chain (s, s_2) has a grandchild only if
 C(s, s_2) holds an element y of s's cycle type: only if it is fertile.
 From k = 5 on every leaf lies below such a grandchild, so the root
 searches only the fertile s_2: for one y per C(s)-class of such elements
-(``perm.cycle_type_classes``), the partners of the chain (y, s), which
-braid with s and commute with y.  Their C(s)-orbits are exactly the
-fertile orbits (at n = 9, 13 of 110 non-constant ones; at n = 14, 164 of
-2 239).  Each y is checked to have s's cycle type and commute with s, and
-each of its partners to commute with y, so every s_2 kept is certified
-fertile.  Deeper chains are searched whether or not they have
-grandchildren.  At a leaf the weight is the number of maps in the class,
+(``perm.cycle_type_classes``, which reads the classes of C(s) off the
+cycles of s), the partners of the chain (y, s), which braid with s and
+commute with y.  Their C(s)-orbits are exactly the fertile orbits (at
+n = 9, 13 of 110 non-constant ones; at n = 14, 164 of 2 239).  Each y is
+checked to have s's cycle type and commute with s, and each of its
+partners to commute with y, so every s_2 kept is certified fertile.
+Deeper chains are searched whether or not they have grandchildren.  At a leaf the weight is the number of maps in the class,
 so it times |C(G)| must be |C(s)|.  The census records each class by the
 least conjugate under C(s) of its full-cycle image a = s_1 ... s_{k-1},
 found by ``perm.least_conjugate`` from the point table of C(G) without
@@ -152,20 +152,21 @@ def _powers(p):
     return frozenset(out)
 
 
-def _fertile_partners(s1, root, parts):
+def _fertile_partners(s1, parts):
     """The s2 of the fertile chains (s1, s2), those whose centralizer holds
-    an element y of s1's cycle type, up to C(s1) = ``root``: with s1 itself,
+    an element y of s1's cycle type ``parts``, up to C(s1): with s1 itself,
     a set that meets every C(s1)-orbit of them and holds no other s2.
 
-    Conjugating by C(s1) takes y to one of ``perm.cycle_type_classes``, and
-    the s2 that go with it braid with s1 and commute with y: the partners of
-    the chain (y, s1).  They depend on y only through <y>, and if s1 lies in
-    <y>, s2 commutes with s1 and so is s1.  y and s1 have one order, so s1
-    lies in <y> exactly when y lies in <s1>.  Each y searched must have
-    s1's cycle type and commute with s1 and with each of its partners: that
-    certifies every s2 found fertile."""
+    Conjugating by C(s1) takes y to one of ``perm.cycle_type_classes``,
+    which builds them from the cycles of s1, and the s2 that go with it
+    braid with s1 and commute with y: the partners of the chain (y, s1).
+    They depend on y only through <y>, and if s1 lies in <y>, s2 commutes
+    with s1 and so is s1.  y and s1 have one order, so s1 lies in <y>
+    exactly when y lies in <s1>.  Each y searched must have s1's cycle type
+    and commute with s1 and with each of its partners: that certifies every
+    s2 found fertile."""
     kind, found, groups, skip = s1.cycle_type(), {s1}, set(), _powers(s1)
-    for y in cycle_type_classes(root, parts):
+    for y in cycle_type_classes(s1, parts):
         if y.images in skip:
             continue
         group = _powers(y)
@@ -208,7 +209,7 @@ def chain_leaves(k, n, parts):
     side = 1 if k > 4 else 2
     if top[side] is None:
         if k > 4:
-            partners = _fertile_partners(s1, root, parts)
+            partners = _fertile_partners(s1, parts)
         else:
             partners = braid_partners((s1,), symmetry=root)
         top[side] = conjugation_orbits(partners, centralizer_generators(root))

@@ -59,9 +59,6 @@ class BraidHom(Record):
     def is_transitive(self):
         return self.group().is_transitive()
 
-    def is_trivial(self):
-        return all(g.is_identity() for g in self.sigma)
-
     def conjugate(self, g):
         return BraidHom(self.k, self.n, tuple(s.conj(g) for s in self.sigma))
 

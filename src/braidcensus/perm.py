@@ -8,7 +8,6 @@ with that choice.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import re
@@ -244,9 +243,6 @@ class CycleType(tuple):
         if any(p < 2 for p in parts):
             raise ValueError("cycle-type parts must be >= 2")
         return super().__new__(cls, parts)
-
-    def order(self):
-        return math.lcm(*self)
 
 
 class RComponent(Record):
@@ -660,100 +656,69 @@ def centralizer_generators(centralizer):
     return gens
 
 
-def _class_representatives(elements, cm):
-    """The first of ``elements`` in each conjugacy class of the semiregular
-    group ``cm`` of ``tuple_centralizer`` that they meet.  An element is
-    fixed by its image of position 0, which for b a b^-1 is
-    b(a(b^-1(0)))."""
-    out, seen = [], set()
-    pairs = [(b, b.index(0)) for b in cm]
-    for a in elements:
-        if a[0] not in seen:
-            seen.update(b[a[j]] for b, j in pairs)
-            out.append(a)
-    return out
+def cycle_type_classes(s, parts):
+    """One element of each conjugacy class of C(s) made of elements of cycle
+    type ``parts``, a partition of n with its parts of 1, found from the
+    cycles of s without listing C(s).
 
-
-def cycle_type_classes(centralizer, parts):
-    """One element of each conjugacy class of the ``tuple_centralizer``
-    C(G) made of elements of cycle type ``parts``, a partition of n with
-    its parts of 1, found from its classes without listing C(G).
-
-    C(G) is the product over its classes of C_m wr S_t.  A class of
-    C_m wr S_t is a multiset of blocks (l, K): a cycle of l copies whose
-    product in C_m lies in the conjugacy class K of C_m (James and Kerber,
-    The Representation Theory of the Symmetric Group, ch. 4).  If K has
-    order o, the block gives m/o cycles of length l o (C_m is
-    semiregular).  So ``parts`` is filled one class, and in it one block
-    of copies, at a time; a class's blocks are tried in non-increasing
-    (l, o) order, each multiset of them once, and each fill gives one
-    element per multiset of classes K of order o for the blocks (l, o) of
-    each size.  A block maps each of its copies onto the next point by
-    point and the last onto the first through an element of K.
+    C(s) is the product over the cycle lengths m of s of Z_m wr S_t, where
+    Z_m rotates an m-cycle and S_t permutes the t m-cycles.  A class of
+    Z_m wr S_t is a multiset of blocks (l, j): a cycle of l m-cycles whose
+    shifts add up to j mod m (James and Kerber, The Representation Theory
+    of the Symmetric Group, ch. 4).  The block gives gcd(m, j) cycles of
+    length l m / gcd(m, j).  So ``parts`` is filled one cycle length of s,
+    and in it one block, at a time, each length's blocks taken in
+    non-increasing (l, j) order, so that each multiset is built once.  A
+    block maps each of its m-cycles onto the next point by point and the
+    last onto the first shifted by j.
     """
+    n = s.degree
     need = {}
     for p in parts:
         need[p] = need.get(p, 0) + 1
-    classes = []
-    for copies, cm in zip(centralizer.copies, centralizer.constituents):
-        by_order = {}
-        for pi in cm:
-            o, i = 1, pi[0]
-            while i:
-                o, i = o + 1, pi[i]
-            by_order.setdefault(o, []).append(pi)
-        orders = sorted(by_order, reverse=True)
-        classes.append((copies, len(copies[0]), orders, by_order))
-    n = len(centralizer.copy_of)
-    blocks = []  # (class, l, o) of each block taken so far
-    reps = {}  # (class, o): the classes K of order o, by their first elements
+    by_length = {}
+    for c in s.cycles(include_fixed=True):
+        by_length.setdefault(len(c), []).append(c)
+    lengths = list(by_length.items())
+    blocks = []  # (length index, l, j) of each block taken so far
     out = []
 
-    def fill(c, left, top):
-        """Take blocks of at most ``top`` = (l, o) for the ``left`` copies
-        of class c, and then for the later classes, until ``need`` is used
-        up."""
+    def fill(i, left, top):
+        """Take blocks of at most ``top`` = (l, j) for the ``left`` cycles of
+        s of the i-th length m, and then for the later lengths, until
+        ``need`` is used up."""
         if not left:
             # Every block took its cycles from ``need``, which sums to n.
-            if c + 1 < len(classes):
-                fill(c + 1, len(classes[c + 1][0]), (n, n))
+            if i + 1 < len(lengths):
+                fill(i + 1, len(lengths[i + 1][1]), (n, n))
             else:
                 build()
             return
-        _, m, orders, _ = classes[c]
+        m = lengths[i][0]
         for l in range(min(left, top[0]), 0, -1):
-            for o in orders:
-                if (l, o) > top or need.get(l * o, 0) < m // o:
+            for j in range(m - 1, -1, -1):
+                d = math.gcd(m, j)
+                if (l, j) > top or need.get(l * m // d, 0) < d:
                     continue
-                need[l * o] -= m // o
-                blocks.append((c, l, o))
-                fill(c, left - l, (l, o))
+                need[l * m // d] -= d
+                blocks.append((i, l, j))
+                fill(i, left - l, (l, j))
                 blocks.pop()
-                need[l * o] += m // o
+                need[l * m // d] += d
 
     def build():
-        runs = []
-        for (c, _, o), same in itertools.groupby(blocks):
-            if (c, o) not in reps:
-                cm = centralizer.constituents[c]
-                reps[c, o] = _class_representatives(classes[c][3][o], cm)
-            runs.append(
-                itertools.combinations_with_replacement(reps[c, o], len(list(same)))
-            )
-        for pick in itertools.product(*runs):
-            images = list(range(1, n + 1))
-            at = [0] * len(classes)  # the next free copy of each class
-            for (c, l, _), pi in zip(blocks, sum(pick, ())):
-                block = classes[c][0][at[c] : at[c] + l]
-                at[c] += l
-                for src, dst in zip(block, block[1:]):
-                    for x, y in zip(src, dst):
-                        images[x - 1] = y
-                for x, i in zip(block[-1], pi):
-                    images[x - 1] = block[0][i]
-            out.append(Permutation._trusted(tuple(images)))
+        images = list(range(1, n + 1))
+        at = [0] * len(lengths)  # the next free m-cycle of each length
+        for i, l, j in blocks:
+            block = lengths[i][1][at[i] : at[i] + l]
+            at[i] += l
+            shifted = block[0][j:] + block[0][:j]
+            for src, dst in zip(block, block[1:] + [shifted]):
+                for x, y in zip(src, dst):
+                    images[x - 1] = y
+        out.append(Permutation._trusted(tuple(images)))
 
-    fill(0, len(classes[0][0]), (n, n))
+    fill(0, len(lengths[0][1]), (n, n))
     return out
 
 

@@ -4,7 +4,9 @@ Each function here answers by brute force, over every candidate, a question
 the package answers by search or by linear algebra, or builds a map the
 tests feed to the census.  They are meant for tiny inputs only, and nothing
 in ``src`` imports them.  ``build_parser`` is the argparse command line that
-``cli._parse`` replaced, kept as the reference it is compared against.
+``cli._parse`` replaced, and ``centralizer_classes_of_type`` the class
+enumerator for any ``tuple_centralizer`` that ``perm.cycle_type_classes``
+replaced, each kept as the reference it is compared against.
 """
 
 import argparse
@@ -88,6 +90,103 @@ def disjoint_product(a, b):
     """The permutation acting as a on {1..deg a} and as b shifted above it."""
     n = a.degree + b.degree
     return a.extend(n) * b.shift(a.degree, n)
+
+
+def _constituent_class_representatives(elements, cm):
+    """The first of ``elements`` in each conjugacy class of the semiregular
+    group ``cm`` of ``tuple_centralizer`` that they meet.  An element is
+    fixed by its image of position 0, which for b a b^-1 is
+    b(a(b^-1(0)))."""
+    out, seen = [], set()
+    pairs = [(b, b.index(0)) for b in cm]
+    for a in elements:
+        if a[0] not in seen:
+            seen.update(b[a[j]] for b, j in pairs)
+            out.append(a)
+    return out
+
+
+def centralizer_classes_of_type(centralizer, parts):
+    """One element of each conjugacy class of the ``tuple_centralizer``
+    C(G) made of elements of cycle type ``parts``, a partition of n with
+    its parts of 1: the reference for ``perm.cycle_type_classes``, which
+    does this for C(s) of one permutation, and for groups G whose C_m is
+    not abelian.
+
+    C(G) is the product over its classes of C_m wr S_t.  A class of
+    C_m wr S_t is a multiset of blocks (l, K): a cycle of l copies whose
+    product in C_m lies in the conjugacy class K of C_m (James and Kerber,
+    The Representation Theory of the Symmetric Group, ch. 4).  If K has
+    order o, the block gives m/o cycles of length l o (C_m is
+    semiregular).  So ``parts`` is filled one class, and in it one block
+    of copies, at a time; a class's blocks are tried in non-increasing
+    (l, o) order, each multiset of them once, and each fill gives one
+    element per multiset of classes K of order o for the blocks (l, o) of
+    each size.  A block maps each of its copies onto the next point by
+    point and the last onto the first through an element of K.
+    """
+    need = {}
+    for p in parts:
+        need[p] = need.get(p, 0) + 1
+    classes = []
+    for copies, cm in zip(centralizer.copies, centralizer.constituents):
+        by_order = {}
+        for pi in cm:
+            o, i = 1, pi[0]
+            while i:
+                o, i = o + 1, pi[i]
+            by_order.setdefault(o, []).append(pi)
+        orders = sorted(by_order, reverse=True)
+        classes.append((copies, len(copies[0]), orders, by_order))
+    n = len(centralizer.copy_of)
+    blocks = []  # (class, l, o) of each block taken so far
+    reps = {}  # (class, o): the classes K of order o, by their first elements
+    out = []
+
+    def fill(c, left, top):
+        if not left:
+            if c + 1 < len(classes):
+                fill(c + 1, len(classes[c + 1][0]), (n, n))
+            else:
+                build()
+            return
+        _, m, orders, _ = classes[c]
+        for l in range(min(left, top[0]), 0, -1):
+            for o in orders:
+                if (l, o) > top or need.get(l * o, 0) < m // o:
+                    continue
+                need[l * o] -= m // o
+                blocks.append((c, l, o))
+                fill(c, left - l, (l, o))
+                blocks.pop()
+                need[l * o] += m // o
+
+    def build():
+        runs = []
+        for (c, _, o), same in itertools.groupby(blocks):
+            if (c, o) not in reps:
+                cm = centralizer.constituents[c]
+                reps[c, o] = _constituent_class_representatives(
+                    classes[c][3][o], cm
+                )
+            runs.append(
+                itertools.combinations_with_replacement(reps[c, o], len(list(same)))
+            )
+        for pick in itertools.product(*runs):
+            images = list(range(1, n + 1))
+            at = [0] * len(classes)  # the next free copy of each class
+            for (c, l, _), pi in zip(blocks, sum(pick, ())):
+                block = classes[c][0][at[c] : at[c] + l]
+                at[c] += l
+                for src, dst in zip(block, block[1:]):
+                    for x, y in zip(src, dst):
+                        images[x - 1] = y
+                for x, i in zip(block[-1], pi):
+                    images[x - 1] = block[0][i]
+            out.append(Permutation(images))
+
+    fill(0, len(classes[0][0]), (n, n))
+    return out
 
 
 # Braid words.

@@ -28,7 +28,6 @@ from braidcensus.perm import (
     canonical_of_cycle_type,
     centralizer_generators,
     conjugation_orbits,
-    cycle_type_classes,
     tuple_centralizer,
 )
 
@@ -328,9 +327,9 @@ def test_censuses_at_one_point_count_share_the_chain_tree(fresh_tree, monkeypatc
         searched.append(chain)
         return partners(chain, symmetry=symmetry)
 
-    def root_spy(s1, root, parts):
+    def root_spy(s1, parts):
         rooted.append(parts)
-        return fertile(s1, root, parts)
+        return fertile(s1, parts)
 
     monkeypatch.setattr(CENSUS_MODULE, "braid_partners", spy)
     monkeypatch.setattr(CENSUS_MODULE, "_fertile_partners", root_spy)
@@ -447,7 +446,7 @@ def test_a_commutator_census_after_a_fertile_root_gives_the_records_of_an_empty_
 
 def _fertile_orbits_by_filter(parts, n):
     """The orbits of the full root, kept where C(s1, s2) holds an element of
-    s1's cycle type (``perm.cycle_type_classes`` finds one), and the
+    s1's cycle type (the reference class enumerator finds one), and the
     constant chain's."""
     s1 = canonical_of_cycle_type(parts, n)
     root = tuple_centralizer((s1,))
@@ -457,7 +456,8 @@ def _fertile_orbits_by_filter(parts, n):
     return [
         (s2, size)
         for s2, size in orbits
-        if s2 == s1 or cycle_type_classes(tuple_centralizer((s1, s2)), parts)
+        if s2 == s1
+        or oracles.centralizer_classes_of_type(tuple_centralizer((s1, s2)), parts)
     ]
 
 
@@ -513,10 +513,10 @@ def test_a_barren_partner_of_a_fertile_root_is_an_error(fresh_tree, monkeypatch)
                     return sorted(found + [x])
         return found
 
-    def rooted(s1, root, parts):
+    def rooted(s1, parts):
         rooting.append(s1)
         try:
-            return fertile(s1, root, parts)
+            return fertile(s1, parts)
         finally:
             rooting.pop()
 

@@ -231,12 +231,11 @@ def _cycle_type(x):
     return tuple(sorted(map(len, x.cycles(include_fixed=True)), reverse=True))
 
 
-def _assert_one_element_per_class(perms):
-    """``cycle_type_classes`` against C(G) found by scanning S(n): for each
+def _assert_one_element_per_class(perms, classes_of):
+    """``classes_of(parts)`` against C(G) found by scanning S(n): for each
     partition of n, its elements lie in C(G), have that cycle type, and
     meet each C(G)-class of such elements exactly once."""
     n = perms[0].degree
-    cent = tuple_centralizer(perms)
     expected = _brute_centralizer(perms)
     classes, left = {}, set(expected)
     while left:
@@ -245,7 +244,7 @@ def _assert_one_element_per_class(perms):
         left -= cls
         classes.setdefault(_cycle_type(x), set()).add(cls)
     for parts in all_partitions(n):
-        found = list(cycle_type_classes(cent, parts))
+        found = list(classes_of(parts))
         assert all(x in expected and _cycle_type(x) == parts for x in found)
         met = [next(c for c in classes[parts] if x in c) for x in found]
         assert len(set(met)) == len(met), (perms, parts)
@@ -253,20 +252,54 @@ def _assert_one_element_per_class(perms):
 
 
 def test_cycle_type_classes_match_brute_force():
-    """One element per class for each class-minimal s up to 7 points, and
-    for tuples whose group has isomorphic orbits, where C_m may be
-    non-abelian (it is S_3 on a regular orbit of S_3)."""
+    """One element per class of C(s) for each class-minimal s up to 7
+    points."""
     for n in range(1, 8):
         for s in oracles.conjugacy_class_representatives(n):
-            _assert_one_element_per_class((s,))
+            _assert_one_element_per_class(
+                (s,), lambda parts: cycle_type_classes(s, parts)
+            )
+
+
+def test_the_class_oracle_matches_brute_force_on_tuples():
+    """The reference enumerator for any ``tuple_centralizer``, on tuples
+    whose group has isomorphic orbits, where C_m may be non-abelian (it is
+    S_3 on a regular orbit of S_3)."""
+
+    def check(perms):
+        cent = tuple_centralizer(perms)
+        _assert_one_element_per_class(
+            perms, lambda parts: oracles.centralizer_classes_of_type(cent, parts)
+        )
+
     a, b = Permutation.from_cycles("(1,2)(3,4)(5,6)", 6), Permutation.from_cycles(
         "(1,3,5)(2,6,4)", 6
     )
-    _assert_one_element_per_class((a, b))
+    check((a, b))
     rng = random.Random(5)
     for n in range(2, 8):
         for _ in range(6):
-            _assert_one_element_per_class(_copied_tuple(rng, n))
+            check(_copied_tuple(rng, n))
+
+
+def test_cycle_type_classes_match_the_class_oracle():
+    """For every class-minimal s and every partition of n up to 10 points,
+    ``cycle_type_classes`` and the reference enumerator on C(s) give as
+    many elements, with the same least conjugates under C(s)."""
+    for n in range(1, 11):
+        for s in oracles.conjugacy_class_representatives(n):
+            cent = tuple_centralizer((s,))
+            for parts in all_partitions(n):
+                found = cycle_type_classes(s, parts)
+                expected = oracles.centralizer_classes_of_type(cent, parts)
+                assert len(found) == len(expected), (s, parts)
+
+                def keys(ys):
+                    return {
+                        least_conjugate(y, s, tuple_centralizer((s, y))) for y in ys
+                    }
+
+                assert keys(found) == keys(expected), (s, parts)
 
 
 def test_tuple_centralizer_of_one_permutation_is_its_centralizer():
